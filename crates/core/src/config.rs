@@ -50,8 +50,10 @@ pub enum ConfigError {
     CapacityWithoutLots,
     /// Two protocols were given the same fixed port.
     DuplicatePort(u16),
-    /// A global connection cap was set but the per-protocol cap is zero,
-    /// so no protocol could ever admit a connection.
+    /// The global connection cap is zero, so nothing could ever connect.
+    ZeroMaxConns,
+    /// The per-protocol cap is zero, so no protocol could ever admit a
+    /// connection.
     ZeroPerProtocolCap,
 }
 
@@ -68,11 +70,9 @@ impl fmt::Display for ConfigError {
             ConfigError::DuplicatePort(p) => {
                 write!(f, "two protocols configured on the same port {}", p)
             }
+            ConfigError::ZeroMaxConns => write!(f, "max_conns == 0 admits nothing"),
             ConfigError::ZeroPerProtocolCap => {
-                write!(
-                    f,
-                    "max_conns > 0 with max_conns_per_protocol == 0 admits nothing"
-                )
+                write!(f, "max_conns_per_protocol == 0 admits nothing")
             }
         }
     }
@@ -129,11 +129,6 @@ pub struct NestConfig {
     /// tier entirely — the data path is then byte-identical to an
     /// appliance built before the tier existed.
     pub ram_tier_bytes: u64,
-    /// Capacity override for the disk backend's FD handle cache: `None`
-    /// keeps the backend default, `Some(0)` disables caching (open-per-
-    /// chunk, the ablation baseline), `Some(n)` caches up to `n` handles.
-    /// Ignored by the memory backend.
-    pub handle_cache_capacity: Option<usize>,
     /// Observability registry shared with the appliance. `None` makes the
     /// dispatcher create a private one; pass a registry to read the same
     /// instruments from outside (tests, embedding monitors).
@@ -147,9 +142,7 @@ pub struct NestConfig {
     /// `None` (the default) means transfers may run indefinitely.
     pub transfer_deadline: Option<Duration>,
     /// Global cap on simultaneously admitted connections across every
-    /// protocol front-end. `0` selects the per-connection-thread ablation
-    /// (seed behavior: unbounded spawn, 5 ms sleep-poll acceptors) used as
-    /// the benchmark baseline. Default: 256.
+    /// protocol front-end; must be nonzero. Default: 256.
     pub max_conns: usize,
     /// Per-protocol bound on connections concurrently *being served*
     /// (the worker-pool size for that protocol). Default: 64.
@@ -238,7 +231,6 @@ impl Default for NestConfig {
             ports: Ports::default(),
             cache_bytes: 256 << 20,
             ram_tier_bytes: 0,
-            handle_cache_capacity: None,
             obs: None,
             retry: RetryPolicy::standard(),
             transfer_deadline: None,
@@ -298,7 +290,10 @@ impl NestConfig {
                 return Err(ConfigError::DuplicatePort(pair[0]));
             }
         }
-        if self.max_conns > 0 && self.max_conns_per_protocol == 0 {
+        if self.max_conns == 0 {
+            return Err(ConfigError::ZeroMaxConns);
+        }
+        if self.max_conns_per_protocol == 0 {
             return Err(ConfigError::ZeroPerProtocolCap);
         }
         Ok(())
@@ -416,15 +411,8 @@ impl NestConfigBuilder {
         self
     }
 
-    /// FD handle-cache capacity override for the disk backend (see
-    /// [`NestConfig::handle_cache_capacity`]).
-    pub fn handle_cache_capacity(mut self, capacity: usize) -> Self {
-        self.config.handle_cache_capacity = Some(capacity);
-        self
-    }
-
     /// Shares an observability registry with the appliance, so callers can
-    /// read its instruments (and register trace sinks) from outside.
+    /// read its instruments from outside.
     pub fn obs(mut self, obs: Arc<Obs>) -> Self {
         self.config.obs = Some(obs);
         self
@@ -443,8 +431,7 @@ impl NestConfigBuilder {
         self
     }
 
-    /// Global cap on simultaneously admitted connections. `0` selects the
-    /// per-connection-thread ablation baseline (unbounded spawn).
+    /// Global cap on simultaneously admitted connections (nonzero).
     pub fn max_conns(mut self, cap: usize) -> Self {
         self.config.max_conns = cap;
         self
@@ -553,8 +540,6 @@ mod tests {
         assert_eq!(config.max_conns_per_protocol, 4);
         assert_eq!(config.accept_queue_depth, 2);
         assert_eq!(config.idle_timeout, Some(Duration::from_millis(250)));
-        // The ablation switch (max_conns == 0) is a valid configuration.
-        assert!(NestConfig::builder("abl").max_conns(0).build().is_ok());
     }
 
     #[test]
@@ -564,11 +549,25 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(config.ram_tier_bytes, 64 << 20);
-        // Default is off: the ablation baseline needs no explicit opt-out.
         assert_eq!(
             NestConfig::builder("flat").build().unwrap().ram_tier_bytes,
             0
         );
+    }
+
+    #[test]
+    fn builder_rejects_zero_max_conns() {
+        assert_eq!(
+            NestConfig::builder("x").max_conns(0).build().err().unwrap(),
+            ConfigError::ZeroMaxConns
+        );
+        // A field-assembled config skips the builder; the server refuses it.
+        let config = NestConfig {
+            max_conns: 0,
+            ..NestConfig::ephemeral("x")
+        };
+        let err = crate::NestServer::start(config).err().unwrap();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     }
 
     #[test]

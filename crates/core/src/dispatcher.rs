@@ -102,15 +102,15 @@ pub struct Dispatcher {
     acl_store: Option<std::path::PathBuf>,
     /// Where lots persist across restarts (disk-backed appliances only).
     lot_store: Option<std::path::PathBuf>,
-    /// Shared observability registry (instruments + tracer).
+    /// Shared observability registry.
     obs: Arc<Obs>,
     metrics: DispatchMetrics,
     /// Retry policy stamped onto every submitted flow.
     retry: RetryPolicy,
     /// Deadline stamped onto every submitted flow (None = unbounded).
     transfer_deadline: Option<Duration>,
-    /// The session layer's global connection cap (0 = uncapped ablation),
-    /// published in the discovery ad as `MaxConnections`.
+    /// The session layer's global connection cap, published in the
+    /// discovery ad as `MaxConnections`.
     max_conns: usize,
 }
 
@@ -133,13 +133,7 @@ impl Dispatcher {
                 lot_store = Some(std::path::PathBuf::from(store));
                 // Disk chunk I/O runs through the backend's FD handle
                 // cache; publish handlecache.* on the shared registry.
-                let mut b = LocalFsBackend::new(root)?;
-                if let Some(capacity) = config.handle_cache_capacity {
-                    // Before `with_obs`: the override replaces the cache,
-                    // and the instruments must land on the live one.
-                    b = b.with_handle_cache_capacity(capacity);
-                }
-                Arc::new(b.with_obs(&obs))
+                Arc::new(LocalFsBackend::new(root)?.with_obs(&obs))
             }
         };
         let acl = match &acl_store {
@@ -176,8 +170,6 @@ impl Dispatcher {
             chunk_size: 64 * 1024,
             process_launcher: Arc::new(SubprocessLauncher::new()),
             obs: Some(Arc::clone(&obs)),
-            pool_buffers: true,
-            zerocopy: true,
             shards: config.shards.max(1),
         });
         let metrics = DispatchMetrics::new(&obs);
@@ -188,8 +180,7 @@ impl Dispatcher {
             // Tier-resident GETs have no backing fd, so zerocopy demotes
             // cleanly; pre-register the bypass counter so the surfaces
             // show it at zero before the first tier-served flow. (With
-            // the tier disabled nothing memtier.* is registered at all —
-            // the ablation's stats surfaces match the pre-tier appliance.)
+            // the tier disabled nothing memtier.* is registered at all.)
             obs.metrics.counter("memtier.zc_bypassed");
         }
         // Surface the lock shim's per-class contention statistics
@@ -754,8 +745,7 @@ impl Dispatcher {
             ad.insert_value("RamTierHitPct", nest_classad::Value::Real(hit_pct));
         }
         // Connection load, so the matchmaker can rank by headroom: the
-        // session layer's admitted-connection gauge against its cap
-        // (0 = uncapped thread-per-connection ablation).
+        // session layer's admitted-connection gauge against its cap.
         ad.insert_value(
             "MaxConnections",
             nest_classad::Value::Int(self.max_conns as i64),

@@ -24,10 +24,6 @@
 //!   between requests, waits for them up to a deadline, hard-closes
 //!   stragglers, and joins every pool thread before returning.
 //!
-//! Setting the global cap to zero ([`SessionConfig::max_conns`] = 0)
-//! reproduces the historical thread-per-connection acceptor verbatim — the
-//! ablation baseline for `bench/src/bin/connchurn.rs`.
-//!
 //! This file is the only sanctioned `std::thread::spawn` site on a
 //! connection path (enforced by the `conn-spawn` nest-lint rule).
 
@@ -52,8 +48,7 @@ const POLL_STEP: Duration = Duration::from_millis(50);
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
     /// Global cap on concurrently open (admitted) connections across all
-    /// protocols. **0 selects the ablation baseline**: the historical
-    /// unbounded thread-per-connection acceptors, for benchmarking.
+    /// protocols.
     pub max_conns: usize,
     /// Worker-pool size per protocol: at most this many connections per
     /// protocol are served concurrently.
@@ -302,16 +297,12 @@ impl Shared {
     }
 }
 
-/// One protocol's bounded worker pool (or, in ablation mode, its
-/// thread-per-connection spawner) plus its live-connection registry.
+/// One protocol's bounded worker pool plus its live-connection registry.
 struct ProtoPool {
-    proto: &'static str,
     reply: OverloadReply,
     handler: SessionHandler,
     cap: usize,
     queue_depth: usize,
-    /// False in the `max_conns == 0` ablation: one thread per connection.
-    pooled: bool,
     shared: Arc<Shared>,
     proto_active: Arc<Gauge>,
     state: Mutex<PoolState>,
@@ -345,12 +336,10 @@ impl ProtoPool {
         let proto_active = obs.metrics.gauge(&format!("session.{proto}.active"));
         let live_shards = shared.cfg.shards.max(1);
         Arc::new(Self {
-            proto,
             reply,
             handler,
             cap: spec.workers.unwrap_or(shared.cfg.max_conns_per_protocol),
             queue_depth: spec.queue_depth.unwrap_or(shared.cfg.queue_depth),
-            pooled: shared.cfg.max_conns != 0,
             shared,
             proto_active,
             state: Mutex::named("core.session.pool", 150, PoolState::default()),
@@ -367,59 +356,43 @@ impl ProtoPool {
         let _ = stream.set_nonblocking(false);
         let _ = stream.set_nodelay(true);
 
-        // Global cap first (skipped entirely in ablation mode).
-        if self.pooled {
-            let prev = sh.active.fetch_add(1, Ordering::SeqCst);
-            if prev >= sh.cfg.max_conns {
-                sh.active.fetch_sub(1, Ordering::SeqCst);
-                self.reject(stream);
-                return;
-            }
-        } else {
-            sh.active.fetch_add(1, Ordering::SeqCst);
+        // Global cap first.
+        let prev = sh.active.fetch_add(1, Ordering::SeqCst);
+        if prev >= sh.cfg.max_conns {
+            sh.active.fetch_sub(1, Ordering::SeqCst);
+            self.reject(stream);
+            return;
         }
 
-        if self.pooled {
-            let mut st = self.state.lock();
-            if st.draining {
-                drop(st);
-                sh.active.fetch_sub(1, Ordering::SeqCst);
-                self.reject(stream);
-                return;
-            }
-            // Per-protocol cap + queue: `busy` connections hold workers,
-            // up to `queue_depth` more may wait, the rest are rejected.
-            if st.busy + st.queue.len() >= self.cap + self.queue_depth {
-                drop(st);
-                sh.active.fetch_sub(1, Ordering::SeqCst);
-                self.reject(stream);
-                return;
-            }
-            if st.busy >= self.cap {
-                sh.queued.inc();
-            }
-            st.queue.push_back(stream);
-            // Lazy worker spawn, up to the pool cap, only when no idle
-            // worker is available to take this connection.
-            if st.idle_workers < st.queue.len() && st.spawned < self.cap {
-                st.spawned += 1;
-                let pool = Arc::clone(self);
-                st.workers
-                    .push(std::thread::spawn(move || pool.worker_loop()));
-            }
+        let mut st = self.state.lock();
+        if st.draining {
             drop(st);
-            self.cv.notify_one();
-        } else {
-            // Ablation baseline: the historical unbounded
-            // thread-per-connection shape, with identical instrumentation.
-            let pool = Arc::clone(self);
-            let mut st = self.state.lock();
-            st.busy += 1;
-            st.workers.push(std::thread::spawn(move || {
-                pool.serve(stream);
-                pool.state.lock().busy -= 1;
-            }));
+            sh.active.fetch_sub(1, Ordering::SeqCst);
+            self.reject(stream);
+            return;
         }
+        // Per-protocol cap + queue: `busy` connections hold workers,
+        // up to `queue_depth` more may wait, the rest are rejected.
+        if st.busy + st.queue.len() >= self.cap + self.queue_depth {
+            drop(st);
+            sh.active.fetch_sub(1, Ordering::SeqCst);
+            self.reject(stream);
+            return;
+        }
+        if st.busy >= self.cap {
+            sh.queued.inc();
+        }
+        st.queue.push_back(stream);
+        // Lazy worker spawn, up to the pool cap, only when no idle
+        // worker is available to take this connection.
+        if st.idle_workers < st.queue.len() && st.spawned < self.cap {
+            st.spawned += 1;
+            let pool = Arc::clone(self);
+            st.workers
+                .push(std::thread::spawn(move || pool.worker_loop()));
+        }
+        drop(st);
+        self.cv.notify_one();
         sh.note_admitted();
     }
 
@@ -546,7 +519,6 @@ pub struct SessionLayer {
     /// Fronts registered but not yet started.
     pending: Vec<Front>,
     poller: Option<JoinHandle<()>>,
-    acceptors: Vec<JoinHandle<()>>,
     wake_tx: Option<UdpSocket>,
     wake_addr: Option<SocketAddr>,
     finished: bool,
@@ -562,7 +534,6 @@ impl SessionLayer {
             pools: Vec::new(),
             pending: Vec::new(),
             poller: None,
-            acceptors: Vec::new(),
             wake_tx: None,
             wake_addr: None,
             finished: false,
@@ -611,34 +582,9 @@ impl SessionLayer {
         Ok(addr)
     }
 
-    /// Starts serving every registered front-end: one poller thread in
-    /// pooled mode, or the historical per-listener acceptor threads in the
-    /// `max_conns == 0` ablation.
+    /// Starts serving every registered front-end on one poller thread.
     pub fn start(&mut self) -> io::Result<()> {
         let fronts = std::mem::take(&mut self.pending);
-        if self.shared.cfg.max_conns == 0 {
-            // Ablation baseline: per-listener 5 ms sleep-poll acceptors.
-            for front in fronts {
-                let token = self.shared.token.clone();
-                self.acceptors.push(
-                    std::thread::Builder::new()
-                        .name(format!("accept-{}", front.pool.proto))
-                        .spawn(move || {
-                            while !token.draining() {
-                                match front.listener.accept() {
-                                    Ok((stream, _)) => front.pool.admit(stream),
-                                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                                        std::thread::sleep(Duration::from_millis(5));
-                                    }
-                                    Err(_) => break,
-                                }
-                            }
-                        })?,
-                );
-            }
-            return Ok(());
-        }
-
         let wake_rx = UdpSocket::bind("127.0.0.1:0")?;
         wake_rx.set_nonblocking(true)?;
         let wake_addr = wake_rx.local_addr()?;
@@ -671,9 +617,6 @@ impl SessionLayer {
             let _ = tx.send_to(&[1], addr);
         }
         if let Some(t) = self.poller.take() {
-            let _ = t.join();
-        }
-        for t in self.acceptors.drain(..) {
             let _ = t.join();
         }
 
@@ -860,28 +803,6 @@ mod tests {
         assert!(obs.snapshot().count("session.rejected") >= 1);
         drop((c1, c2));
         layer.drain(Duration::from_secs(2));
-    }
-
-    #[test]
-    fn ablation_mode_serves_without_caps() {
-        let cfg = SessionConfig {
-            max_conns: 0,
-            max_conns_per_protocol: 1,
-            ..SessionConfig::default()
-        };
-        let (mut layer, addr, obs) = layer_with(cfg);
-        // Three concurrent conns despite the (ignored) per-proto cap of 1.
-        let mut conns: Vec<TcpStream> = (0..3).map(|_| TcpStream::connect(addr).unwrap()).collect();
-        for c in &mut conns {
-            c.write_all(b"a").unwrap();
-            let mut b = [0u8; 1];
-            c.read_exact(&mut b).unwrap();
-        }
-        assert_eq!(obs.snapshot().count("session.rejected"), 0);
-        assert_eq!(obs.snapshot().count("session.accepted"), 3);
-        drop(conns);
-        layer.drain(Duration::from_secs(2));
-        assert_eq!(obs.snapshot().count("session.active"), 0);
     }
 
     #[test]

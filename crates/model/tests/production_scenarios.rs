@@ -5,7 +5,7 @@
 //! | scenario            | lock class(es) under test                      |
 //! |---------------------|------------------------------------------------|
 //! | stride scheduler    | `transfer.sched` (scheduler behind one mutex)  |
-//! | buffer pool         | `transfer.bufpool.free` / `.instruments`       |
+//! | buffer pool         | `transfer.bufpool.free`                        |
 //! | handle cache        | `storage.handle_cache.state` epoch guard       |
 //! | memory tier         | `storage.memtier.state` flush vs. evict        |
 //! | session admission   | lock-free `active` counter protocol            |

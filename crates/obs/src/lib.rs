@@ -14,25 +14,20 @@
 //!   produces a point-in-time [`registry::MetricsSnapshot`], renderable as
 //!   the stable `name value` text served by `GET /nest/stats` and the
 //!   Chirp `stats` command.
-//! * [`trace`] — a tiny span facility ([`trace::Tracer`] / [`trace::Span`])
-//!   with a pluggable [`trace::SpanSink`], used to time request handling
-//!   without committing to any particular backend.
 //!
-//! The [`Obs`] facade bundles one registry and one tracer; the dispatcher
-//! owns an `Arc<Obs>` and threads it through the storage and transfer
-//! layers so every subsystem reports into a single snapshot.
+//! The [`Obs`] facade holds the registry; the dispatcher owns an
+//! `Arc<Obs>` and threads it through the storage and transfer layers so
+//! every subsystem reports into a single snapshot.
 
 pub mod metrics;
 pub mod registry;
-pub mod trace;
 
 pub use metrics::{Counter, EwmaMeter, Gauge, Histogram, ShardedCounter};
 pub use registry::{MetricValue, MetricsSnapshot, Registry};
-pub use trace::{CollectingSink, Span, SpanRecord, SpanSink, Tracer};
 
 use std::sync::Arc;
 
-/// One observability domain: a metrics registry plus a tracer.
+/// One observability domain: a metrics registry.
 ///
 /// Cheap to share (`Arc<Obs>`); every subsystem registers instruments on
 /// the same registry so a single [`Registry::snapshot`] covers the whole
@@ -41,8 +36,6 @@ use std::sync::Arc;
 pub struct Obs {
     /// The shared metrics registry.
     pub metrics: Registry,
-    /// The shared tracer.
-    pub tracer: Tracer,
 }
 
 impl Obs {

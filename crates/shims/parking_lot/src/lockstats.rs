@@ -186,10 +186,18 @@ mod tests {
             c.note_wait(u64::MAX / 4);
         }
         if let Some(top) = most_contended() {
-            assert!(!harness_class(top.name), "harness class leaked: {}", top.name);
+            assert!(
+                !harness_class(top.name),
+                "harness class leaked: {}",
+                top.name
+            );
         }
         for row in top_contended(usize::MAX) {
-            assert!(!harness_class(row.name), "harness class leaked: {}", row.name);
+            assert!(
+                !harness_class(row.name),
+                "harness class leaked: {}",
+                row.name
+            );
         }
     }
 }

@@ -59,7 +59,9 @@ impl<T> ShardedMutex<T> {
     ) -> Self {
         let shards = shards.max(1);
         Self {
-            cells: (0..shards).map(|i| Mutex::named(name, rank, init(i))).collect(),
+            cells: (0..shards)
+                .map(|i| Mutex::named(name, rank, init(i)))
+                .collect(),
         }
     }
 

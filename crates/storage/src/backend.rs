@@ -378,9 +378,8 @@ impl LocalFsBackend {
         })
     }
 
-    /// Bounds the handle cache to `capacity` open descriptors; `0`
-    /// disables caching (every chunk opens fresh — the pre-cache
-    /// behavior, kept for ablation and for hosts with tight fd limits).
+    /// Bounds the handle cache to `capacity` open descriptors (at least
+    /// one) — fd-budget sizing for hosts with tight fd limits.
     pub fn with_handle_cache_capacity(mut self, capacity: usize) -> Self {
         self.handles = HandleCache::new(capacity);
         self
@@ -413,19 +412,6 @@ impl LocalFsBackend {
     fn handle_for(&self, path: &VPath, need_write: bool) -> io::Result<Arc<fs::File>> {
         match self.handles.lookup(path, need_write) {
             Lookup::Hit(file) => Ok(file),
-            Lookup::Disabled => {
-                // Uncached fallback: plain open in the needed mode.
-                let file = if need_write {
-                    // nestlint: allow(backend-open): capacity-0 ablation path opens uncached by design
-                    fs::OpenOptions::new()
-                        .write(true)
-                        .open(self.host_path(path))?
-                } else {
-                    // nestlint: allow(backend-open): capacity-0 ablation path opens uncached by design
-                    fs::File::open(self.host_path(path))?
-                };
-                Ok(Arc::new(file))
-            }
             Lookup::Miss { epoch } => {
                 let host = self.host_path(path);
                 let (file, writable) =
@@ -515,40 +501,11 @@ impl StorageBackend for LocalFsBackend {
     }
 
     fn read_at(&self, path: &VPath, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
-        if !self.handles.enabled() {
-            // Pre-cache behavior, kept verbatim for ablation (capacity 0):
-            // open + seek + read for every chunk.
-            use std::io::{Read, Seek, SeekFrom};
-            // nestlint: allow(backend-open): pre-cache per-chunk open, kept verbatim for the ablation comparison
-            let mut f = fs::File::open(self.host_path(path))?;
-            f.seek(SeekFrom::Start(offset))?;
-            let mut filled = 0;
-            while filled < buf.len() {
-                match f.read(&mut buf[filled..]) {
-                    Ok(0) => break,
-                    Ok(n) => filled += n,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(e),
-                }
-            }
-            return Ok(filled);
-        }
         let file = self.handle_for(path, false)?;
         read_at_handle(&file, offset, buf)
     }
 
     fn write_at(&self, path: &VPath, offset: u64, data: &[u8]) -> io::Result<()> {
-        if !self.handles.enabled() {
-            // Pre-cache behavior, kept verbatim for ablation (capacity 0):
-            // open + seek + write for every chunk.
-            use std::io::{Seek, SeekFrom, Write};
-            // nestlint: allow(backend-open): pre-cache per-chunk open, kept verbatim for the ablation comparison
-            let mut f = fs::OpenOptions::new()
-                .write(true)
-                .open(self.host_path(path))?;
-            f.seek(SeekFrom::Start(offset))?;
-            return f.write_all(data);
-        }
         let file = self.handle_for(path, true)?;
         write_at_handle(&file, offset, data)
     }

@@ -36,9 +36,8 @@
 //!
 //! ## Sizing
 //!
-//! Capacity bounds open descriptors; eviction is least-recently-used
-//! within a cell. Capacity 0 disables caching entirely (every operation
-//! opens fresh — the ablation baseline and the pre-cache behavior).
+//! Capacity bounds open descriptors (floor 1); eviction is
+//! least-recently-used within a cell.
 
 use crate::namespace::VPath;
 use nest_obs::{Counter, Gauge, Obs};
@@ -139,8 +138,6 @@ pub enum Lookup {
     /// Miss: open the file yourself, then offer it back via
     /// [`HandleCache::insert`] with this epoch.
     Miss { epoch: u64 },
-    /// Caching disabled (capacity 0): open fresh, do not insert.
-    Disabled,
 }
 
 /// Default stripe count for the hot lookup path (matching the storage
@@ -148,8 +145,8 @@ pub enum Lookup {
 pub const DEFAULT_HANDLE_CACHE_SHARDS: usize = crate::lot::DEFAULT_LOT_SHARDS;
 
 impl HandleCache {
-    /// Creates a cache bounding open descriptors to `capacity` (0
-    /// disables caching), striped [`DEFAULT_HANDLE_CACHE_SHARDS`] ways.
+    /// Creates a cache bounding open descriptors to `capacity` (raised to
+    /// at least 1), striped [`DEFAULT_HANDLE_CACHE_SHARDS`] ways.
     pub fn new(capacity: usize) -> Self {
         Self::with_shards(capacity, DEFAULT_HANDLE_CACHE_SHARDS)
     }
@@ -160,6 +157,7 @@ impl HandleCache {
     /// exact global LRU order.
     pub fn with_shards(capacity: usize, shards: usize) -> Self {
         let shards = shards.max(1);
+        let capacity = capacity.max(1);
         let effective = if capacity >= 4 * shards { shards } else { 1 };
         Self {
             capacity,
@@ -177,11 +175,6 @@ impl HandleCache {
             open_count: AtomicI64::new(0),
             instruments: Mutex::named("storage.handlecache.instruments", 341, None),
         }
-    }
-
-    /// Whether caching is active.
-    pub fn enabled(&self) -> bool {
-        self.capacity > 0
     }
 
     /// Registers the `handlecache.{hits,misses,evictions,open_fds}`
@@ -223,9 +216,6 @@ impl HandleCache {
     /// Public as the model-harness surface (see [`Lookup`]); production
     /// chunk I/O reaches this only through the backend.
     pub fn lookup(&self, path: &VPath, need_write: bool) -> Lookup {
-        if self.capacity == 0 {
-            return Lookup::Disabled;
-        }
         let mut st = self.cells.lock(shard_hash(path));
         st.tick += 1;
         let tick = st.tick;
@@ -269,9 +259,6 @@ impl HandleCache {
     /// Public as the model-harness surface (see [`Lookup`]); production
     /// chunk I/O reaches this only through the backend.
     pub fn insert(&self, path: &VPath, file: Arc<File>, writable: bool, epoch: u64) {
-        if self.capacity == 0 {
-            return;
-        }
         let mut st = self.cells.lock(shard_hash(path));
         // Same-path invalidations serialize on this cell lock, so an
         // unchanged epoch proves no invalidation of *this* path landed
@@ -317,7 +304,7 @@ impl HandleCache {
         // must never leave more cached FDs in this cell than its share of
         // the capacity (the per-cell caps sum to ≤ the global bound).
         nest_check::invariant!(
-            st.entries.len() <= self.per_cell_capacity.max(1),
+            st.entries.len() <= self.per_cell_capacity,
             "handlecache cell holds {} open FDs, per-cell capacity is {}",
             st.entries.len(),
             self.per_cell_capacity
@@ -334,10 +321,9 @@ impl HandleCache {
     /// Records hits for chunk spans served through a reused
     /// [`crate::backend::ReadLease`]. The zero-copy path resolves its
     /// descriptor once per lease and then streams spans without calling
-    /// [`HandleCache::lookup`]; without this, the zerocopy ablation column
-    /// undercounts hits relative to the pooled path (which records one hit
-    /// per chunk) and the columns stop being comparable. Meaningful even
-    /// with caching disabled: the lease itself is a descriptor reuse.
+    /// [`HandleCache::lookup`]; without this, sendfile flows undercount
+    /// hits relative to the pooled path (which records one hit per chunk)
+    /// and `handlecache.hits` stops being comparable across the two.
     pub fn note_lease_hits(&self, n: u64) {
         if n == 0 {
             return;
@@ -353,8 +339,7 @@ impl HandleCache {
     /// lease is *current* only while the epoch is unchanged. Any metadata
     /// mutation bumps the epoch, so a zero-copy sender re-checking its
     /// lease per span can never keep streaming an inode whose name has
-    /// been removed, renamed, or truncated under it. Meaningful whether or
-    /// not caching is enabled (capacity-0 backends still invalidate).
+    /// been removed, renamed, or truncated under it.
     ///
     /// Lock-free: the check runs once per zero-copy span on the engine
     /// thread, and must not serialize against chunk I/O taking a cache
@@ -442,13 +427,6 @@ mod tests {
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.open), (1, 1, 1));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn capacity_zero_disables() {
-        let c = HandleCache::new(0);
-        assert!(!c.enabled());
-        assert!(matches!(c.lookup(&vp("/f"), false), Lookup::Disabled));
     }
 
     #[test]

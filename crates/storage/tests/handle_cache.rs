@@ -168,15 +168,16 @@ fn steady_state_chunked_read_opens_once() {
 }
 
 #[test]
-fn capacity_zero_disables_caching_but_stays_correct() {
-    let b = LocalFsBackend::new(scratch("disabled"))
+fn capacity_zero_is_floored_to_one_descriptor() {
+    let b = LocalFsBackend::new(scratch("floor"))
         .unwrap()
         .with_handle_cache_capacity(0);
-    let f = vp("/f.dat");
-    write_file(&b, &f, b"data");
-    assert_eq!(read_all(&b, &f, 16), b"data");
-    let st = b.handle_cache_stats();
-    assert_eq!((st.hits, st.misses, st.open), (0, 0, 0));
+    for name in ["/f.dat", "/g.dat"] {
+        let f = vp(name);
+        write_file(&b, &f, name.as_bytes());
+        assert_eq!(read_all(&b, &f, 16), name.as_bytes());
+        assert!(b.handle_cache_stats().open <= 1);
+    }
 }
 
 #[test]

@@ -26,7 +26,7 @@ use nest_obs::{Counter, Gauge, Obs};
 use parking_lot::Mutex;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Debug-build poison byte written into buffers on return to the pool.
 pub const POISON: u8 = 0xA5;
@@ -59,7 +59,9 @@ struct PoolInner {
     reuse: AtomicU64,
     fresh: AtomicU64,
     outstanding: AtomicI64,
-    instruments: Mutex<Option<PoolInstruments>>,
+    /// Written once by [`BufPool::register_obs`], then read lock-free on
+    /// every checkout and return.
+    instruments: OnceLock<PoolInstruments>,
 }
 
 impl PoolInner {
@@ -74,7 +76,7 @@ impl PoolInner {
             "bufpool outstanding went negative ({}): buffer returned without a matching checkout",
             after
         );
-        if let Some(i) = &*self.instruments.lock() {
+        if let Some(i) = self.instruments.get() {
             i.outstanding.dec();
         }
         if data.len() != self.chunk_size {
@@ -118,8 +120,7 @@ impl std::fmt::Debug for BufPool {
 
 impl BufPool {
     /// Creates a pool of `chunk_size`-byte buffers keeping at most
-    /// `max_idle` parked. `max_idle == 0` disables recycling (every
-    /// checkout allocates — the ablation baseline).
+    /// `max_idle` parked (with `max_idle == 0` nothing is ever parked).
     pub fn new(chunk_size: usize, max_idle: usize) -> Self {
         Self {
             inner: Arc::new(PoolInner {
@@ -129,15 +130,9 @@ impl BufPool {
                 reuse: AtomicU64::new(0),
                 fresh: AtomicU64::new(0),
                 outstanding: AtomicI64::new(0),
-                instruments: Mutex::named("transfer.bufpool.instruments", 401, None),
+                instruments: OnceLock::new(),
             }),
         }
-    }
-
-    /// A pool that never recycles: every checkout is a fresh allocation.
-    /// Used for the `pool=off` ablation while keeping one code path.
-    pub fn disabled(chunk_size: usize) -> Self {
-        Self::new(chunk_size, 0)
     }
 
     /// The chunk size this pool vends.
@@ -145,28 +140,26 @@ impl BufPool {
         self.inner.chunk_size
     }
 
-    /// Whether recycling is active.
-    pub fn enabled(&self) -> bool {
-        self.inner.max_idle > 0
-    }
-
     /// Registers `bufpool.{reuse,fresh,outstanding}` on an observability
     /// registry, back-filling counts accumulated before registration.
+    /// The first registration wins; later ones are ignored.
     pub fn register_obs(&self, obs: &Obs) {
-        let m = &obs.metrics;
-        let inst = PoolInstruments {
-            reuse: m.counter("bufpool.reuse"),
-            fresh: m.counter("bufpool.fresh"),
-            outstanding: m.gauge("bufpool.outstanding"),
-        };
-        // nestlint: allow(atomic-ordering): single-cell statistic; atomicity alone carries the count
-        inst.reuse.add(self.inner.reuse.load(Ordering::Relaxed));
-        // nestlint: allow(atomic-ordering): single-cell statistic; atomicity alone carries the count
-        inst.fresh.add(self.inner.fresh.load(Ordering::Relaxed));
-        // nestlint: allow(atomic-ordering): single-cell statistic; atomicity alone carries the count
-        let outstanding = self.inner.outstanding.load(Ordering::Relaxed);
-        inst.outstanding.set(outstanding);
-        *self.inner.instruments.lock() = Some(inst);
+        self.inner.instruments.get_or_init(|| {
+            let m = &obs.metrics;
+            let inst = PoolInstruments {
+                reuse: m.counter("bufpool.reuse"),
+                fresh: m.counter("bufpool.fresh"),
+                outstanding: m.gauge("bufpool.outstanding"),
+            };
+            // nestlint: allow(atomic-ordering): single-cell statistic; atomicity alone carries the count
+            inst.reuse.add(self.inner.reuse.load(Ordering::Relaxed));
+            // nestlint: allow(atomic-ordering): single-cell statistic; atomicity alone carries the count
+            inst.fresh.add(self.inner.fresh.load(Ordering::Relaxed));
+            // nestlint: allow(atomic-ordering): single-cell statistic; atomicity alone carries the count
+            let outstanding = self.inner.outstanding.load(Ordering::Relaxed);
+            inst.outstanding.set(outstanding);
+            inst
+        });
     }
 
     /// Current counters.
@@ -197,7 +190,7 @@ impl BufPool {
         }
         // nestlint: allow(atomic-ordering): single-cell statistic; atomicity alone carries the count
         self.inner.outstanding.fetch_add(1, Ordering::Relaxed);
-        if let Some(i) = &*self.inner.instruments.lock() {
+        if let Some(i) = self.inner.instruments.get() {
             if reused {
                 i.reuse.inc();
             } else {
@@ -286,15 +279,15 @@ mod tests {
     }
 
     #[test]
-    fn disabled_pool_always_allocates() {
-        let pool = BufPool::disabled(64);
-        assert!(!pool.enabled());
+    fn zero_max_idle_never_parks_never_leaks() {
+        let pool = BufPool::new(64, 0);
         drop(pool.checkout());
         drop(pool.checkout());
         let s = pool.stats();
         assert_eq!(s.fresh, 2);
         assert_eq!(s.reuse, 0);
         assert_eq!(s.idle, 0);
+        assert_eq!(s.outstanding, 0);
     }
 
     #[test]

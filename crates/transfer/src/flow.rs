@@ -207,8 +207,8 @@ enum ZcState {
     Probing,
     /// At least one `sendfile` span succeeded.
     Active,
-    /// Demoted to the pooled loop for the rest of the flow (disabled by
-    /// config, capability withdrawn, or the kernel refused the fd pair).
+    /// On the pooled loop for the rest of the flow (never armed,
+    /// capability withdrawn, or the kernel refused the fd pair).
     Off,
 }
 
@@ -280,15 +280,12 @@ impl Flow {
         }
     }
 
-    /// Arms (or disarms) the zero-copy fast path for this flow. Off by
-    /// default so ad-hoc flows behave exactly like the pooled baseline;
-    /// the transfer manager arms it from `TransferConfig::zerocopy`.
-    pub fn set_zerocopy(&mut self, enabled: bool) {
-        self.zc = if enabled {
-            ZcState::Probing
-        } else {
-            ZcState::Off
-        };
+    /// Arms the zero-copy fast path for this flow: each step then takes
+    /// `sendfile` iff both endpoints grant the capability. Ad-hoc flows
+    /// stay on the pooled loop; the transfer manager arms every flow it
+    /// admits.
+    pub fn arm_zerocopy(&mut self) {
+        self.zc = ZcState::Probing;
     }
 
     /// Whether any bytes of this flow moved via `sendfile`.
@@ -653,7 +650,7 @@ mod tests {
         assert_eq!(src.len(), 200);
         assert!(src.raw_window().is_none());
         let mut flow = Flow::new(meta(6), Box::new(src), Box::new(Vec::new()), 64);
-        flow.set_zerocopy(true);
+        flow.arm_zerocopy();
         assert_eq!(flow.run_to_completion().unwrap(), 200);
         // No fd: the flow never engaged zerocopy, and never "fell back"
         // either — Probing straight to the pooled loop is a clean demotion.

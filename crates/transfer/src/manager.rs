@@ -66,16 +66,6 @@ pub struct TransferConfig {
     /// Observability registry; `None` leaves the engine uninstrumented
     /// (zero overhead on the data path).
     pub obs: Option<Arc<Obs>>,
-    /// Recycle chunk staging buffers through a [`BufPool`] (steady-state
-    /// admission allocates nothing). `false` allocates per flow — the
-    /// pre-pool behavior, kept for ablation.
-    pub pool_buffers: bool,
-    /// Arm the zero-copy (`sendfile`) fast path on admitted flows. Only
-    /// flows whose endpoints both grant the capability actually take it;
-    /// `false` forces every flow through the pooled-buffer loop — the
-    /// pre-zero-copy behavior, kept for ablation (the two paths produce
-    /// byte-identical wire output).
-    pub zerocopy: bool,
     /// Stripe count for the delivered-stats cells (`1` = the single-mutex
     /// ablation). Completion accounting picks a cell by flow id, so a
     /// stats snapshot walking the cells never stalls the engine's finish
@@ -95,8 +85,6 @@ impl Default for TransferConfig {
             chunk_size: 64 * 1024,
             process_launcher: Arc::new(EmulatedProcessLauncher::default()),
             obs: None,
-            pool_buffers: true,
-            zerocopy: true,
             shards: 8,
         }
     }
@@ -302,7 +290,6 @@ pub struct TransferManager {
     stats: Arc<ShardedMutex<TransferStats>>,
     next_id: AtomicU64,
     pool: BufPool,
-    zerocopy: bool,
     engine: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -319,11 +306,7 @@ const EVENT_BATCH: usize = 32;
 impl TransferManager {
     /// Starts a transfer manager with the given configuration.
     pub fn new(config: TransferConfig) -> Self {
-        let pool = if config.pool_buffers {
-            BufPool::new(config.chunk_size, POOL_MAX_IDLE)
-        } else {
-            BufPool::disabled(config.chunk_size)
-        };
+        let pool = BufPool::new(config.chunk_size, POOL_MAX_IDLE);
         if let Some(obs) = &config.obs {
             pool.register_obs(obs);
         }
@@ -336,7 +319,6 @@ impl TransferManager {
         ));
         let engine_stats = Arc::clone(&stats);
         let engine_tx = tx.clone();
-        let zerocopy = config.zerocopy;
         let engine = std::thread::Builder::new()
             .name("nest-transfer-engine".into())
             .spawn(move || Engine::new(config, rx, engine_tx, engine_stats).run())
@@ -346,7 +328,6 @@ impl TransferManager {
             stats,
             next_id: AtomicU64::new(1),
             pool,
-            zerocopy,
             engine: Some(engine),
         }
     }
@@ -369,7 +350,9 @@ impl TransferManager {
         // The staging buffer comes from the pool: steady-state admission
         // recycles a returned buffer instead of allocating.
         let mut flow = Flow::with_buffer(meta, source, sink, self.pool.checkout());
-        flow.set_zerocopy(self.zerocopy);
+        // Always armed: each step takes `sendfile` iff both endpoints
+        // grant the capability, the pooled loop otherwise.
+        flow.arm_zerocopy();
         let flow = Box::new(flow);
         // A send failure means the engine is gone; the handle will surface
         // a BrokenPipe when waited on.
@@ -377,8 +360,7 @@ impl TransferManager {
         TransferHandle { rx, cancel }
     }
 
-    /// The chunk buffer pool flows stage through (counters for tests and
-    /// ablations).
+    /// The chunk buffer pool flows stage through (counters for tests).
     pub fn buffer_pool(&self) -> &BufPool {
         &self.pool
     }

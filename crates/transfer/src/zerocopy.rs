@@ -1,11 +1,11 @@
 //! Zero-copy primitives for the byte-moving layer.
 //!
-//! The datapath bench (DESIGN.md §10) shows the chunked GET path is
-//! copy-dominated once the handle cache removes the open/close storm: every
-//! chunk is `pread` into a staging buffer and written back out, two
-//! kernel/user crossings per chunk. This module removes the staging copy
-//! the way GridFTP's data channel does, with a fallback ladder so the
-//! pooled path remains the universal slow lane:
+//! The chunked GET path (DESIGN.md §10) is copy-dominated once the handle
+//! cache removes the open/close storm: every chunk is `pread` into a
+//! staging buffer and written back out, two kernel/user crossings per
+//! chunk. This module removes the staging copy the way GridFTP's data
+//! channel does, with a fallback ladder so the pooled path remains the
+//! universal slow lane:
 //!
 //! 1. [`transmit`] — `sendfile(2)` from a file descriptor straight to a
 //!    socket (or, when `sendfile` refuses the fd pair, `copy_file_range`),

@@ -164,26 +164,3 @@ fn steady_state_reuses_pooled_buffers() {
     assert!(snap.count("bufpool.reuse") >= 8);
     tm.shutdown();
 }
-
-/// The ablation switch still works: with pooling off every flow allocates a
-/// detached buffer and the pool stays cold.
-#[test]
-fn pool_disabled_falls_back_to_detached_buffers() {
-    let tm = TransferManager::new(TransferConfig {
-        model: ModelSelection::Fixed(ModelKind::Events),
-        pool_buffers: false,
-        ..TransferConfig::default()
-    });
-    for _ in 0..3 {
-        let meta = FlowMeta::new(tm.next_flow_id(), "a", Some(64 * 1024));
-        let h = tm.submit(
-            meta,
-            Box::new(PatternSource::new(64 * 1024)),
-            Box::new(CountingSink::default()),
-        );
-        assert_eq!(h.wait().unwrap(), 64 * 1024);
-    }
-    let stats = tm.buffer_pool().stats();
-    assert_eq!(stats.reuse, 0);
-    tm.shutdown();
-}

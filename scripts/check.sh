@@ -76,26 +76,11 @@ cargo test -p nest-transfer --release --test fault_matrix
 echo "==> fault stress loop (seeded, --features fault-injection)"
 cargo test -p nest-transfer --release --features fault-injection fault_stress
 
-echo "==> datapath bench smoke (real LocalFsBackend, JSON schema check)"
-cargo run --release -p nest-bench --bin datapath -- --smoke --out target/datapath_smoke.json
-for key in get_speedup put_speedup nfs_speedup zerocopy_speedup zerocopy_wall_ratio socket_get_mbps socket_get_mb_per_cpu_sec handlecache_hits bufpool_reuse; do
-  grep -q "\"$key\"" target/datapath_smoke.json ||
-    { echo "datapath smoke JSON missing key: $key" >&2; exit 1; }
-done
+echo "==> nestmark unit tests (incl. the BENCHMARK.json <-> code consistency test)"
+cargo test -q --manifest-path benchmark/Cargo.toml
 
-echo "==> connchurn bench smoke (session-layer accept path vs sleep-poll ablation, JSON schema check)"
-cargo run --release -p nest-bench --bin connchurn -- --smoke --out target/connchurn_smoke.json
-for key in churn_speedup pooled_conns_per_sec baseline_conns_per_sec p99_improvement; do
-  grep -q "\"$key\"" target/connchurn_smoke.json ||
-    { echo "connchurn smoke JSON missing key: $key" >&2; exit 1; }
-done
-
-echo "==> memtier bench smoke (RAM tier vs ram_tier_bytes(0) ablation grid, JSON schema check)"
-cargo run --release -p nest-bench --bin memtier -- --smoke --out target/memtier_smoke.json
-for key in hot_speedup hot_speedup_no_hc cold_penalty_pct tier_budget memtier_hits memtier_misses memtier_promotions memtier_demotions memtier_bytes; do
-  grep -q "\"$key\"" target/memtier_smoke.json ||
-    { echo "memtier smoke JSON missing key: $key" >&2; exit 1; }
-done
+echo "==> nestmark smoke (live appliance, all seven fronts; exits non-zero on any verification failure)"
+cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- smoke
 
 echo "==> scale bench smoke (10k-session churn vs shards=1 ablation, JSON schema check)"
 cargo run --release -p nest-bench --bin scale -- --smoke --out target/scale_smoke.json

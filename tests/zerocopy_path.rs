@@ -58,28 +58,38 @@ fn storage_with(dir: &Path, files: &[(String, Vec<u8>)]) -> Arc<StorageManager> 
     )
 }
 
-fn engine(zerocopy: bool, obs: &Arc<Obs>) -> TransferManager {
-    TransferManager::new(TransferConfig {
+/// A transfer engine and the registry its instruments land on.
+struct Engine {
+    tm: TransferManager,
+    obs: Arc<Obs>,
+}
+
+fn engine() -> Engine {
+    let obs = Obs::new();
+    let tm = TransferManager::new(TransferConfig {
         policy: SchedPolicy::Fcfs,
         model: ModelSelection::Fixed(ModelKind::Events),
         chunk_size: CHUNK,
-        zerocopy,
-        obs: Some(Arc::clone(obs)),
+        obs: Some(Arc::clone(&obs)),
         ..TransferConfig::default()
-    })
+    });
+    Engine { tm, obs }
 }
 
 /// Runs one GET over a real TCP connection and returns every byte the
-/// client side received (header + body). `drip` throttles the reader to
-/// small reads with pauses, filling the sender's socket buffer so the
-/// write side sees genuine short writes / partial `sendfile` returns.
+/// client side received (header + body). `grant_fd` decides whether the
+/// sink lends its descriptor: without it the flow has no `sendfile`
+/// capability and runs the pooled loop — the reference side. `drip`
+/// throttles the reader to small reads with pauses, filling the sender's
+/// socket buffer so the write side sees genuine short writes / partial
+/// `sendfile` returns.
 fn socket_get(
-    tm: &TransferManager,
-    obs: &Arc<Obs>,
+    engine: &Engine,
     storage: &Arc<StorageManager>,
     path: &str,
     len: u64,
     head: &[u8],
+    grant_fd: bool,
     drip: bool,
 ) -> Vec<u8> {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -103,12 +113,19 @@ fn socket_get(
     });
     let stream = TcpStream::connect(addr).unwrap();
     let fd = stream.as_raw_fd();
-    let sink = SocketSink::new(stream, head.to_vec())
-        .with_raw_fd(fd)
-        .with_coalesce_counter(obs.metrics.counter("transfer.zerocopy.writev_coalesced"));
+    let mut sink = SocketSink::new(stream, head.to_vec()).with_coalesce_counter(
+        engine
+            .obs
+            .metrics
+            .counter("transfer.zerocopy.writev_coalesced"),
+    );
+    if grant_fd {
+        sink = sink.with_raw_fd(fd);
+    }
     let src = BackendSource::new(Arc::clone(storage), VPath::parse(path).unwrap(), 0, len);
-    let meta = FlowMeta::new(tm.next_flow_id(), "get", Some(len));
-    let moved = tm
+    let meta = FlowMeta::new(engine.tm.next_flow_id(), "get", Some(len));
+    let moved = engine
+        .tm
         .submit(meta, Box::new(src), Box::new(sink))
         .wait()
         .unwrap();
@@ -116,9 +133,9 @@ fn socket_get(
     reader.join().unwrap()
 }
 
-/// The property the ablation switch promises: `zerocopy(false)` and
-/// `zerocopy(true)` are indistinguishable on the wire at every size that
-/// straddles a chunk or syscall boundary.
+/// With and without the sink's descriptor granted, the wire bytes are
+/// indistinguishable at every size that straddles a chunk or syscall
+/// boundary.
 #[test]
 fn sendfile_and_pooled_paths_are_byte_identical() {
     let sizes: [u64; 6] = [
@@ -136,24 +153,22 @@ fn sendfile_and_pooled_paths_are_byte_identical() {
         .map(|(i, &n)| (format!("/f{i}.dat"), pattern(n)))
         .collect();
     let storage = storage_with(&dir, &files);
-    let obs_fast = Obs::new();
-    let obs_slow = Obs::new();
-    let fast = engine(true, &obs_fast);
-    let slow = engine(false, &obs_slow);
+    let fast = engine();
+    let slow = engine();
 
     for (i, &n) in sizes.iter().enumerate() {
         let path = format!("/f{i}.dat");
         let head = format!("HEAD {n}\r\n\r\n").into_bytes();
         let mut expect = head.clone();
         expect.extend_from_slice(&files[i].1);
-        let via_fast = socket_get(&fast, &obs_fast, &storage, &path, n, &head, false);
-        let via_slow = socket_get(&slow, &obs_slow, &storage, &path, n, &head, false);
-        assert!(via_fast == expect, "zerocopy(true) diverged at size {n}");
-        assert!(via_slow == expect, "zerocopy(false) diverged at size {n}");
+        let via_fast = socket_get(&fast, &storage, &path, n, &head, true, false);
+        let via_slow = socket_get(&slow, &storage, &path, n, &head, false, false);
+        assert!(via_fast == expect, "sendfile path diverged at size {n}");
+        assert!(via_slow == expect, "pooled path diverged at size {n}");
     }
 
     // The large transfers genuinely took the kernel path…
-    let snap = obs_fast.snapshot();
+    let snap = fast.obs.snapshot();
     assert!(
         snap.count("transfer.zerocopy.sendfile_flows") >= 1,
         "fast path never engaged"
@@ -162,13 +177,13 @@ fn sendfile_and_pooled_paths_are_byte_identical() {
     assert_eq!(snap.count("transfer.zerocopy.fallbacks"), 0);
     // Header+first-chunk coalescing fired for each non-empty body.
     assert!(snap.count("transfer.zerocopy.writev_coalesced") >= 5);
-    // The ablation config never touched the fast path at all.
-    let snap = obs_slow.snapshot();
+    // Without the descriptor the fast path was never touched at all.
+    let snap = slow.obs.snapshot();
     assert_eq!(snap.count("transfer.zerocopy.sendfile_flows"), 0);
     assert_eq!(snap.count("transfer.zerocopy.fallbacks"), 0);
 
-    fast.shutdown();
-    slow.shutdown();
+    fast.tm.shutdown();
+    slow.tm.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -185,15 +200,17 @@ fn throttled_socket_short_writes_corrupt_neither_path() {
     let mut expect = head.clone();
     expect.extend_from_slice(&files[0].1);
 
-    for zerocopy in [true, false] {
-        let obs = Obs::new();
-        let tm = engine(zerocopy, &obs);
-        let got = socket_get(&tm, &obs, &storage, "/slow.dat", n, &head, true);
+    for grant_fd in [true, false] {
+        let e = engine();
+        let got = socket_get(&e, &storage, "/slow.dat", n, &head, grant_fd, true);
         assert!(
             got == expect,
-            "zerocopy({zerocopy}) corrupted a throttled stream"
+            "grant_fd({grant_fd}) corrupted a throttled stream"
         );
-        tm.shutdown();
+        // Each side ran the path it claims to exercise.
+        let engaged = e.obs.snapshot().count("transfer.zerocopy.sendfile_flows");
+        assert_eq!(engaged >= 1, grant_fd, "grant_fd({grant_fd})");
+        e.tm.shutdown();
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -236,8 +253,7 @@ fn mid_transfer_withdrawal_falls_back_without_corruption() {
     let dir = scratch("fault");
     let files = vec![("/wobbly.dat".to_owned(), pattern(n))];
     let storage = storage_with(&dir, &files);
-    let obs = Obs::new();
-    let tm = engine(true, &obs);
+    let Engine { tm, obs } = engine();
 
     let inner = BackendSource::new(
         Arc::clone(&storage),
