@@ -9,14 +9,12 @@
 //!    (paper §7.4).
 
 use nest_bench::Table;
-use nest_core::config::{BackendKind, NestConfig};
-use nest_core::dispatcher::Dispatcher;
 use nest_simenv::server::{SimModel, SimPolicy};
 use nest_simenv::stats::mbps;
 use nest_simenv::{ClientSpec, PlatformProfile, SimServer};
 use nest_storage::lot::LotOwner;
 use nest_storage::{
-    AclTable, LotManager, MemBackend, Principal, ReclaimPolicy, StorageManager, VPath, WritePolicy,
+    AclTable, LotManager, MemBackend, Principal, ReclaimPolicy, StorageManager, VPath,
 };
 use nest_transfer::cache::CacheModel;
 use nest_transfer::fairness::jain_fairness_weighted;
@@ -30,70 +28,7 @@ fn main() {
     nwc_idle_budget_sweep();
     reclaim_policy_ablation();
     lot_enforcement_cost();
-    tiered_write_absorption();
     cache_model_microbench();
-}
-
-/// What does a `write_back` lot buy on the real filesystem write path?
-/// The same 32 MB stream, once with the tier ablated (every chunk lands
-/// on the backend synchronously) and once absorbed by a write-back lot
-/// in the RAM tier with the flush deferred off the client's critical
-/// path — the tiered row for the Figure 6 lot-overhead experiment.
-fn tiered_write_absorption() {
-    println!("Ablation 4b: write-back lot absorption on the real write path\n");
-    let who = Principal::user("bench");
-    let total: u64 = 32 << 20;
-    let chunk = vec![7u8; 64 * 1024];
-    let mut table = Table::new(&["write policy", "32 MB write (ms)", "client-visible MB/s"]);
-    let mut flush_ms = 0.0f64;
-    for (name, write_back) in [
-        ("write-through (tier ablated)", false),
-        ("write-back lot", true),
-    ] {
-        let dir = std::env::temp_dir().join(format!(
-            "nest-ablate-wb-{}-{}",
-            write_back,
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let config = NestConfig::builder("ablate-wb")
-            .backend(BackendKind::LocalFs(dir.clone()))
-            .ram_tier_bytes(if write_back { 256 << 20 } else { 0 })
-            .build()
-            .unwrap();
-        let d = Dispatcher::new(&config).unwrap();
-        let sm = d.storage();
-        let lot = sm
-            .admin_grant_lot(LotOwner::User("bench".into()), 1 << 29, 3600)
-            .unwrap();
-        if write_back {
-            sm.set_lot_write_policy(lot, WritePolicy::WriteBack);
-        }
-        let path = VPath::parse("/stream.dat").unwrap();
-        sm.begin_put(&who, "chirp", &path, 0).unwrap();
-        let start = Instant::now();
-        let mut offset = 0u64;
-        while offset < total {
-            sm.write_chunk(&who, &path, offset, &chunk).unwrap();
-            offset += chunk.len() as u64;
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        if write_back {
-            let fstart = Instant::now();
-            d.flush_writeback();
-            flush_ms = fstart.elapsed().as_secs_f64() * 1e3;
-        }
-        table.row(vec![
-            name.into(),
-            format!("{:.1}", elapsed * 1e3),
-            format!("{:.0}", (total as f64 / 1e6) / elapsed),
-        ]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    table.print();
-    println!("(the deferred flush moved the same bytes in {flush_ms:.1} ms after the");
-    println!(" client saw completion — lot accounting is identical in both rows)\n");
 }
 
 /// The gray-box cache model sits on every chunk-served request, so its

@@ -769,18 +769,6 @@ impl Dispatcher {
         ad
     }
 
-    /// Flushes every dirty write-back object in the memory tier to the
-    /// backend (no-op unless a lot opted into `write_back`). The server
-    /// calls this during graceful drain so deferred writes are durable
-    /// before the appliance exits; returns objects flushed.
-    pub fn flush_writeback(&self) -> usize {
-        let flushed = self.storage.flush_writeback();
-        if flushed > 0 {
-            self.persist_lots();
-        }
-        flushed
-    }
-
     /// Shuts the transfer engine down after in-flight work completes.
     pub fn shutdown(self) {
         self.transfers.shutdown();

@@ -189,10 +189,6 @@ impl NestServer {
     /// pools before returning.
     pub fn shutdown_within(mut self, deadline: Duration) {
         self.registry.drain(deadline);
-        // With the fronts quiesced, no new writes can race the flush:
-        // persist any write-back objects still dirty in the memory tier
-        // so opted-in lots lose nothing across a graceful exit.
-        self.dispatcher.flush_writeback();
         if let Some(rpc) = self.rpc.take() {
             rpc.shutdown();
         }

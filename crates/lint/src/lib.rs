@@ -23,7 +23,7 @@
 //! | `conn-spawn` | `thread::spawn`/`thread::Builder` in files that handle `TcpListener`s (connection lifecycles belong to `nest-core::session`) |
 //! | `front-registry` | `SessionLayer::register` calls or raw `SessionHandler` closures outside `core/src/front.rs` (protocol fronts register through the `FrontRegistry`) |
 //! | `raw-socket-write` | bare `.write(` on reply streams in front/handler reply paths (short writes truncate replies; use `write_all` or the vectored helpers) |
-//! | `tier-bypass` | direct raw-backend reads (`.backend().read_at` / `.backend().stat`) or `LocalFsBackend` construction in appliance serving paths — bypassing `StorageManager` skips the memory tier and the handle cache, and can serve stale bytes past a dirty write-back copy |
+//! | `tier-bypass` | direct raw-backend reads (`.backend().read_at` / `.backend().stat`) or `LocalFsBackend` construction in appliance serving paths — bypassing `StorageManager` skips the memory tier and the handle cache |
 //! | `unsafe-safety-comment` | `unsafe` blocks/fns/impls without a `// SAFETY:` comment immediately above (or trailing on the same line) stating the obligation being discharged |
 //! | `atomic-ordering` | bare `Ordering::Relaxed` outside the stats module (`crates/obs/src/metrics.rs`) — every relaxed access elsewhere carries a reasoned `nestlint: allow(atomic-ordering)` explaining why no synchronization rides on it |
 //! | `sharded-bypass` | direct shard-cell access (`.lock_idx(` / `.shard_cell(`) in a file that does not itself declare a `ShardedMutex<` — the wrapper module owns the ascending-index discipline; outside callers go through its API |
@@ -245,10 +245,9 @@ fn scan_file(path: &str, content: &str, design_patterns: &[MetricPattern]) -> Ve
     // dispatcher, handlers), plugin fronts, and the benches that drive the
     // appliance. Reads there go through `StorageManager::read_chunk`,
     // which consults the §15 memory tier and the FD handle cache; a raw
-    // `.backend().read_at` silently skips both and can read stale bytes
-    // under a dirty write-back copy. `crates/jbos` is exempt by design:
-    // the "just a bunch of servers" baseline deliberately lacks the
-    // appliance architecture — that contrast *is* the experiment.
+    // `.backend().read_at` silently skips both. `crates/jbos` is exempt by
+    // design: the "just a bunch of servers" baseline deliberately lacks
+    // the appliance architecture — that contrast *is* the experiment.
     let is_serving_path = path.starts_with("crates/core/src")
         || path.starts_with("crates/s3front/src")
         || path.starts_with("crates/bench/src");

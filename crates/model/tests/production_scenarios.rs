@@ -7,15 +7,15 @@
 //! | stride scheduler    | `transfer.sched` (scheduler behind one mutex)  |
 //! | buffer pool         | `transfer.bufpool.free`                        |
 //! | handle cache        | `storage.handle_cache.state` epoch guard       |
-//! | memory tier         | `storage.memtier.state` flush vs. evict        |
+//! | memory tier         | `storage.memtier` promote vs. invalidate       |
 //! | session admission   | lock-free `active` counter protocol            |
 //! | striped lot table   | `storage.lot` cells + sloppy `committed` bound |
 //! | sharded live map    | striped registry walk vs. self-removal         |
 //!
 //! Every schedule executes the real crate code; the `invariant!`
 //! conservation checks inside it (stride ticket conservation, bufpool
-//! outstanding/idle accounting, handle-cache capacity, mem-tier budget,
-//! per-lot byte conservation) fire under *every* interleaving, not just
+//! outstanding/idle accounting, handle-cache capacity, per-lot byte
+//! conservation) fire under *every* interleaving, not just
 //! the ones a stress test happens to hit. All scenarios explore
 //! exhaustively (no preemption bound): they are sized so the full
 //! schedule space fits the `scripts/check.sh` wall-clock budget.
@@ -25,9 +25,6 @@ use nest_model::{check, thread, Config};
 use parking_lot::Mutex;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-
-/// The flush/evict scenario's persist sink: (version, bytes) records.
-type PersistLog = Arc<Mutex<Vec<(u64, Vec<u8>)>>>;
 
 /// Stride scheduler behind one named mutex: one thread retunes class
 /// tickets (the manager's knob path) while another drains passes (the
@@ -162,110 +159,48 @@ fn handle_cache_epoch_guard_never_caches_stale() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The mem-tier write-back conservation property (flush vs. evict vs. a
-/// concurrent overwrite): dirty bytes are never lost and never
-/// double-flushed.
-///
-/// Three tasks race over one object seeded dirty at version 1:
-/// a *writer* overwrites it (version 2), a *flusher* runs the
-/// snapshot → persist → `mark_clean` protocol, and an *evictor* runs
-/// `invalidate`, persisting the dirty copy it gets back. Afterwards:
-///
-/// * every surviving resident that is **clean** has had its exact
-///   version persisted (`mark_clean`'s version guard — a flush of v1
-///   must not launder a concurrent v2 into "clean");
-/// * if nothing dirty survives in the tier, the **newest** version ever
-///   written is among the persisted copies (nothing lost);
-/// * `writeback_flushes` never exceeds the number of distinct persisted
-///   versions (nothing counted twice).
+/// The mem-tier promotion ticket: a *promoter* runs `record_access` →
+/// read the backend → `insert` with no tier lock held across the read,
+/// while a *writer* replaces the backend bytes and then invalidates the
+/// path — the order every `StorageManager` mutation path uses. Under
+/// every interleaving, a resident copy, if any, equals the backend: a
+/// promotion that read the old bytes has lost its ticket by the time it
+/// inserts.
 #[test]
-fn mem_tier_flush_vs_evict_conserves_dirty_bytes() {
+fn mem_tier_promote_vs_invalidate_never_caches_stale_bytes() {
     use nest_storage::{MemTier, VPath};
 
     let report = check(&Config::exhaustive(), || {
         let tier = Arc::new(MemTier::new(1 << 20));
-        let path = VPath::parse("/model/dirty").expect("valid vpath");
-        let persisted: PersistLog = Arc::new(Mutex::named("model.persist_log", 901, Vec::new()));
+        let path = VPath::parse("/model/obj").expect("valid vpath");
+        let backend = Arc::new(Mutex::named("model.backend", 901, vec![1u8; 64]));
 
-        // Seed: version 1, dirty, before any task races.
-        let seeded = tier
-            .write_back(&path, 0, &[1u8; 64], Some(Vec::new()), false)
-            .is_some();
-        assert!(seeded, "seed write must be absorbed");
-
+        let promoter = {
+            let (tier, path, backend) = (Arc::clone(&tier), path.clone(), Arc::clone(&backend));
+            thread::spawn(move || {
+                if let Some(ticket) = tier.record_access(&path, 64, true, 0) {
+                    let data = backend.lock().clone();
+                    tier.insert(&path, data, false, ticket);
+                }
+            })
+        };
         let writer = {
-            let tier = Arc::clone(&tier);
-            let path = path.clone();
-            // `None` base: if the evictor already removed the object the
-            // tier refuses (caller would write through); report whether
-            // version 2 actually entered the tier.
-            thread::spawn(move || tier.write_back(&path, 0, &[2u8; 64], None, false).is_some())
-        };
-        let flusher = {
-            let tier = Arc::clone(&tier);
-            let persisted = Arc::clone(&persisted);
+            let (tier, path, backend) = (Arc::clone(&tier), path.clone(), Arc::clone(&backend));
             thread::spawn(move || {
-                if let Some(d) = tier.snapshot_dirty().into_iter().next() {
-                    persisted.lock().push((d.version, d.data.to_vec()));
-                    tier.mark_clean(&d.path, d.version);
-                }
+                *backend.lock() = vec![2u8; 64];
+                tier.invalidate(&path);
             })
         };
-        let evictor = {
-            let tier = Arc::clone(&tier);
-            let path = path.clone();
-            let persisted = Arc::clone(&persisted);
-            thread::spawn(move || {
-                if let Some(d) = tier.invalidate(&path) {
-                    persisted.lock().push((d.version, d.data.to_vec()));
-                }
-            })
-        };
-        let wrote_v2 = writer.join();
-        flusher.join();
-        evictor.join();
+        promoter.join();
+        writer.join();
 
-        let persisted = persisted.lock().clone();
-        let newest = if wrote_v2 { 2 } else { 1 };
-        let resident = tier.snapshot_dirty();
-
-        // Distinct versions persisted, and byte-identity per version:
-        // persisting the same version twice (flush and evict can both
-        // hand out v1) is idempotent, but the copies must agree.
-        let mut versions: Vec<u64> = persisted.iter().map(|(v, _)| *v).collect();
-        versions.sort_unstable();
-        for pair in persisted.iter() {
-            for other in persisted.iter() {
-                if pair.0 == other.0 {
-                    assert_eq!(
-                        pair.1, other.1,
-                        "version {} persisted with diverging bytes",
-                        pair.0
-                    );
-                }
-            }
-        }
-        versions.dedup();
-
-        // Conservation: the newest write is either still dirty in the
-        // tier (awaiting a later flush pass) or already persisted.
-        let newest_dirty_resident = resident.iter().any(|d| d.version == newest);
-        if !newest_dirty_resident {
-            assert!(
-                versions.contains(&newest),
-                "version {newest} lost: not dirty in tier, never persisted \
-                 (persisted: {versions:?})"
+        if let Some(resident) = tier.object(&path) {
+            assert_eq!(
+                *resident,
+                *backend.lock(),
+                "the tier caches bytes the backend no longer holds"
             );
         }
-
-        // No double-count: each `mark_clean` success is one flush, and
-        // the version guard means at most one success per version.
-        let flushes = tier.stats().writeback_flushes;
-        assert!(
-            flushes as usize <= versions.len(),
-            "{flushes} flushes recorded for {} distinct persisted versions",
-            versions.len()
-        );
     });
     assert!(report.complete, "exploration hit a budget: {report:?}");
     assert!(report.failure.is_none());

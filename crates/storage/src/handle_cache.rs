@@ -41,11 +41,11 @@
 
 use crate::namespace::VPath;
 use nest_obs::{Counter, Gauge, Obs};
-use parking_lot::{shard_hash, Mutex, ShardedMutex};
+use parking_lot::{shard_hash, ShardedMutex};
 use std::collections::HashMap;
 use std::fs::File;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Point-in-time counters for the cache (see also the
 /// `handlecache.{hits,misses,evictions,open_fds}` instruments).
@@ -110,7 +110,9 @@ pub struct HandleCache {
     /// Mirrored here so the `open_fds` gauge can be kept current without
     /// summing every cell on each miss.
     open_count: AtomicI64,
-    instruments: Mutex<Option<CacheInstruments>>,
+    /// Written once by [`HandleCache::register_obs`], then read lock-free
+    /// on every lookup, insert and invalidation.
+    instruments: OnceLock<CacheInstruments>,
 }
 
 impl std::fmt::Debug for HandleCache {
@@ -173,27 +175,30 @@ impl HandleCache {
             }),
             epoch_fast: AtomicU64::new(0),
             open_count: AtomicI64::new(0),
-            instruments: Mutex::named("storage.handlecache.instruments", 341, None),
+            instruments: OnceLock::new(),
         }
     }
 
     /// Registers the `handlecache.{hits,misses,evictions,open_fds}`
     /// instruments on an observability registry and back-fills any counts
-    /// accumulated before registration.
+    /// accumulated before registration. The first registration wins;
+    /// later ones are ignored.
     pub fn register_obs(&self, obs: &Obs) {
-        let m = &obs.metrics;
-        let inst = CacheInstruments {
-            hits: m.counter("handlecache.hits"),
-            misses: m.counter("handlecache.misses"),
-            evictions: m.counter("handlecache.evictions"),
-            open_fds: m.gauge("handlecache.open_fds"),
-        };
-        let s = self.stats();
-        inst.hits.add(s.hits);
-        inst.misses.add(s.misses);
-        inst.evictions.add(s.evictions);
-        inst.open_fds.set(s.open as i64);
-        *self.instruments.lock() = Some(inst);
+        self.instruments.get_or_init(|| {
+            let m = &obs.metrics;
+            let inst = CacheInstruments {
+                hits: m.counter("handlecache.hits"),
+                misses: m.counter("handlecache.misses"),
+                evictions: m.counter("handlecache.evictions"),
+                open_fds: m.gauge("handlecache.open_fds"),
+            };
+            let s = self.stats();
+            inst.hits.add(s.hits);
+            inst.misses.add(s.misses);
+            inst.evictions.add(s.evictions);
+            inst.open_fds.set(s.open as i64);
+            inst
+        });
     }
 
     /// Current counters (cells are read one at a time; exact once
@@ -225,7 +230,7 @@ impl HandleCache {
                 let file = Arc::clone(&e.file);
                 st.hits += 1;
                 drop(st);
-                if let Some(i) = &*self.instruments.lock() {
+                if let Some(i) = self.instruments.get() {
                     i.hits.inc();
                 }
                 return Lookup::Hit(file);
@@ -243,7 +248,7 @@ impl HandleCache {
         // serializes behind this cell lock.
         let epoch = self.epoch_fast.load(Ordering::Acquire);
         drop(st);
-        if let Some(i) = &*self.instruments.lock() {
+        if let Some(i) = self.instruments.get() {
             i.misses.inc();
             // nestlint: allow(atomic-ordering): sloppy gauge read.
             i.open_fds.set(self.open_count.load(Ordering::Relaxed));
@@ -311,7 +316,7 @@ impl HandleCache {
         );
         drop(st);
         if evicted > 0 || open > 0 {
-            if let Some(i) = &*self.instruments.lock() {
+            if let Some(i) = self.instruments.get() {
                 i.evictions.add(evicted);
                 i.open_fds.set(open);
             }
@@ -329,7 +334,7 @@ impl HandleCache {
             return;
         }
         self.cells.lock_idx(0).hits += n;
-        if let Some(i) = &*self.instruments.lock() {
+        if let Some(i) = self.instruments.get() {
             i.hits.add(n);
         }
     }
@@ -365,7 +370,7 @@ impl HandleCache {
             self.open_count.fetch_sub(1, Ordering::Relaxed);
         }
         drop(st);
-        if let Some(i) = &*self.instruments.lock() {
+        if let Some(i) = self.instruments.get() {
             // nestlint: allow(atomic-ordering): sloppy gauge read.
             i.open_fds.set(self.open_count.load(Ordering::Relaxed));
         }
@@ -383,7 +388,7 @@ impl HandleCache {
             // nestlint: allow(atomic-ordering): gauge statistic only.
             self.open_count.fetch_sub(n, Ordering::Relaxed);
         });
-        if let Some(i) = &*self.instruments.lock() {
+        if let Some(i) = self.instruments.get() {
             // nestlint: allow(atomic-ordering): sloppy gauge read.
             i.open_fds.set(self.open_count.load(Ordering::Relaxed));
         }

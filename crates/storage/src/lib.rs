@@ -44,6 +44,6 @@ pub use backend::{FileKind, FileStat, LocalFsBackend, MemBackend, ReadLease, Sto
 pub use handle_cache::{HandleCache, HandleCacheStats};
 pub use lot::{Lot, LotError, LotId, LotManager, ReclaimPolicy};
 pub use manager::{ObjectEntry, ObjectListing, StorageError, StorageManager};
-pub use mem_tier::{MemTier, MemTierStats, WritePolicy};
+pub use mem_tier::{MemTier, MemTierStats};
 pub use namespace::{PathError, VPath};
 pub use quota::QuotaTable;

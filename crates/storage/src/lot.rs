@@ -708,6 +708,33 @@ impl LotManager {
         }
     }
 
+    /// The bytes charged to `path` across its lots, and whether any
+    /// unexpired lot backs it. Per-chunk on the write path, so it clones
+    /// no lot: like [`LotManager::touch_file`], the span is peeked under
+    /// the path cell and each backing lot is read under its own cell.
+    pub fn file_charge(&self, path: &VPath, now: u64) -> (u64, bool) {
+        let span = match self
+            .cells
+            .lock_idx(self.cell_of_path(path))
+            .file_spans
+            .get(path)
+        {
+            Some(s) => s.clone(),
+            None => return (0, false),
+        };
+        let mut bytes = 0;
+        let mut guaranteed = false;
+        for id in span {
+            if let Some(lot) = self.cells.lock_idx(self.cell_of(id)).lots.get(&id) {
+                if let Some(b) = lot.files.get(path) {
+                    bytes += b;
+                    guaranteed |= !lot.is_expired(now);
+                }
+            }
+        }
+        (bytes, guaranteed)
+    }
+
     /// Snapshot of every lot, for ad publication and `lot_list`.
     /// Sequential per-cell collection.
     pub fn all_lots(&self) -> Vec<Lot> {
@@ -1330,6 +1357,67 @@ mod tests {
         lm.create(user("other"), 100, 100, 0).unwrap();
         let mine = lm.lots_for("u", &no_groups());
         assert_eq!(mine.iter().map(|l| l.id).collect::<Vec<_>>(), vec![a, b]);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// `file_charge` agrees with the whole-table fold it replaced
+        /// after every op of a create / charge / release / renew /
+        /// terminate / expire / restore sequence, striped and not.
+        #[test]
+        fn file_charge_matches_the_all_lots_fold(
+            ops in prop::collection::vec((0u8..7, 0usize..4, 1u64..300), 1..60),
+        ) {
+            let paths: Vec<VPath> = (0..4).map(|i| vp(&format!("/f{i}"))).collect();
+            for shards in [1usize, 8] {
+                let policy = ReclaimPolicy::ExpiredFirst;
+                let mut lm = LotManager::with_shards(2000, policy, shards);
+                let mut now = 0u64;
+                for &(op, i, n) in &ops {
+                    let who = ["u0", "u1"][i % 2];
+                    let nth = lm.all_lots().get(i).map(|l| l.id);
+                    match (op, nth) {
+                        (0, _) => {
+                            let _ = lm.create(user(who), n * 2, n / 4 + 1, now);
+                        }
+                        (1, _) => {
+                            let _ = lm.charge_file(who, &no_groups(), &paths[i], n, now);
+                        }
+                        (2, _) => {
+                            lm.release_file(&paths[i]);
+                        }
+                        (3, Some(id)) => {
+                            let _ = lm.renew(id, n, now);
+                        }
+                        (4, Some(id)) => {
+                            let _ = lm.terminate(id);
+                        }
+                        (5, _) => now += n / 4,
+                        (6, _) => {
+                            let snap = lm.snapshot();
+                            lm = LotManager::restore_with_shards(&snap, 2000, policy, now, shards);
+                        }
+                        _ => {}
+                    }
+                    // The reference: the pre-`file_charge` fold over every lot.
+                    let lots = lm.all_lots();
+                    for path in &paths {
+                        let bytes = lots.iter().filter_map(|l| l.files.get(path)).sum();
+                        let backed = lots
+                            .iter()
+                            .any(|l| !l.is_expired(now) && l.files.contains_key(path));
+                        prop_assert_eq!(
+                            lm.file_charge(path, now),
+                            (bytes, backed),
+                            "{} at {} shards after op {}", path, shards, op
+                        );
+                    }
+                }
+            }
+        }
     }
 }
 

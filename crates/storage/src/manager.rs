@@ -12,13 +12,11 @@
 use crate::acl::{request_ad, AccessRight, AclEntry, AclTable, Principal};
 use crate::backend::{FileKind, FileStat, StorageBackend};
 use crate::lot::{Evicted, Lot, LotError, LotId, LotManager, LotOwner, ReclaimPolicy};
-use crate::mem_tier::{DirtyObject, MemTier, MemTierStats, WritePolicy};
+use crate::mem_tier::{MemTier, MemTierStats, PromotionTicket};
 use crate::namespace::{PathError, VPath};
 use nest_classad::{ClassAd, Value};
 use nest_obs::{Counter, Gauge, Histogram, Obs};
 use nest_proto::request::NestError;
-use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::sync::Arc;
@@ -208,8 +206,6 @@ pub struct StorageManager {
     tier: MemTier,
     /// Cache-model residency prediction for promotion decisions.
     residency_hint: Option<ResidencyHint>,
-    /// Per-lot write policies; unlisted lots are write-through.
-    write_policies: Mutex<HashMap<LotId, WritePolicy>>,
 }
 
 impl StorageManager {
@@ -232,7 +228,6 @@ impl StorageManager {
             metrics: None,
             tier: MemTier::new(0),
             residency_hint: None,
-            write_policies: Mutex::named("storage.memtier.policy", 334, HashMap::new()),
         }
     }
 
@@ -338,109 +333,21 @@ impl StorageManager {
         self.tier.object(path)
     }
 
-    /// Sets the write policy for a lot (default: write-through). Write-back
-    /// lots absorb writes into the memory tier and defer the backend copy;
-    /// see DESIGN.md §15 for the crash-consistency caveat.
-    pub fn set_lot_write_policy(&self, id: LotId, policy: WritePolicy) {
-        match policy {
-            WritePolicy::WriteThrough => {
-                self.write_policies.lock().remove(&id);
-            }
-            WritePolicy::WriteBack => {
-                self.write_policies.lock().insert(id, policy);
-            }
-        }
-    }
-
     /// Records descriptor-reuse hits for zero-copy lease spans; see
     /// [`StorageBackend::note_lease_hits`].
     pub fn note_lease_hits(&self, n: u64) {
         self.backend.note_lease_hits(n);
     }
 
-    /// True when an unexpired lot charges bytes for `path` — such tier
-    /// residents are protected from best-effort demotion.
-    fn guaranteed_backed(&self, path: &VPath) -> bool {
-        if !self.enforce_lots {
-            return false;
-        }
-        let now = self.now();
-        self.lots
-            .all_lots()
-            .iter()
-            .any(|l| !l.is_expired(now) && l.files.contains_key(path))
-    }
-
-    /// The effective write policy for `path`: write-back iff any lot
-    /// charging it opted in.
-    fn write_policy_for(&self, path: &VPath) -> WritePolicy {
-        if !self.enforce_lots {
-            return WritePolicy::WriteThrough;
-        }
-        let policies = self.write_policies.lock();
-        if policies.is_empty() {
-            return WritePolicy::WriteThrough;
-        }
-        let backing: Vec<LotId> = self
-            .lots
-            .all_lots()
-            .iter()
-            .filter(|l| l.files.contains_key(path))
-            .map(|l| l.id)
-            .collect();
-        if backing.iter().any(|id| policies.contains_key(id)) {
-            WritePolicy::WriteBack
-        } else {
-            WritePolicy::WriteThrough
-        }
-    }
-
-    /// Persists one dirty tier object to the backend (write then shrink,
-    /// so a previously longer backend copy cannot leave a stale tail).
-    fn persist_dirty(&self, d: &DirtyObject) -> Result<()> {
-        self.backend.write_at(&d.path, 0, &d.data)?;
-        if let Ok(st) = self.backend.stat(&d.path) {
-            if st.size > d.data.len() as u64 {
-                self.backend.truncate(&d.path, d.data.len() as u64)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Persists `victims` and marks each clean (a racing newer write keeps
-    /// its entry dirty). Best-effort: a failed flush leaves the entry
-    /// dirty for the next attempt.
-    fn flush_victims(&self, victims: &[DirtyObject]) {
-        for d in victims {
-            if self.persist_dirty(d).is_ok() {
-                self.tier.mark_clean(&d.path, d.version);
-            }
-        }
-    }
-
-    /// Flushes every dirty tier object to the backend. Wired into the
-    /// session drain so a graceful shutdown loses no write-back bytes.
-    /// Returns the number of objects flushed.
-    pub fn flush_writeback(&self) -> usize {
-        let dirty = self.tier.snapshot_dirty();
-        let mut flushed = 0;
-        for d in &dirty {
-            if self.persist_dirty(d).is_ok() {
-                self.tier.mark_clean(&d.path, d.version);
-                flushed += 1;
-            }
-        }
-        flushed
-    }
-
-    /// Promotes `path` into the memory tier: whole object when it fits
-    /// the per-object cap, head segment otherwise. Best-effort — a read
-    /// failure simply leaves the object untiered.
-    fn promote(&self, path: &VPath, size: u64) {
-        let want = size.min(self.tier.max_object_bytes()) as usize;
-        let mut data = vec![0u8; want];
+    /// Promotes the `size`-byte object at `path` into the memory tier
+    /// under `ticket`. Best-effort — a read failure, or an object that is
+    /// no longer exactly `size` bytes, simply leaves it untiered.
+    fn promote(&self, path: &VPath, size: u64, ticket: PromotionTicket) {
+        // One byte of headroom proves EOF: an object that grew after its
+        // stat must not be cached truncated.
+        let mut data = vec![0u8; size as usize + 1];
         let mut filled = 0;
-        while filled < want {
+        while filled < data.len() {
             match self
                 .backend
                 .read_at(path, filled as u64, &mut data[filled..])
@@ -450,15 +357,14 @@ impl StorageManager {
                 Err(_) => return,
             }
         }
-        data.truncate(filled);
-        if filled < want {
-            // The object shrank under us; its true size is unknown here.
+        if filled as u64 != size {
             return;
         }
-        let victims = self
-            .tier
-            .insert(path, data, size, self.guaranteed_backed(path));
-        self.flush_victims(&victims);
+        data.truncate(filled);
+        // Residents backed by an unexpired lot are protected from
+        // best-effort demotion.
+        let guaranteed = self.enforce_lots && self.lots.file_charge(path, self.now()).1;
+        self.tier.insert(path, data, guaranteed, ticket);
     }
 
     fn now(&self) -> u64 {
@@ -513,10 +419,10 @@ impl StorageManager {
     fn apply_evictions(&self, evicted: &Evicted) {
         for path in &evicted.files {
             // Best-effort deletion of reclaimed files; a missing file only
-            // means the client deleted it first. Any tier copy (dirty or
-            // not) dies with the file.
-            let _ = self.tier.invalidate(path);
+            // means the client deleted it first. Any tier copy dies with
+            // the file.
             let _ = self.backend.remove(path);
+            self.tier.invalidate(path);
         }
         if let Some(m) = &self.metrics {
             if !evicted.files.is_empty() {
@@ -657,12 +563,7 @@ impl StorageManager {
         let t = Instant::now();
         let r = (|| {
             self.authorize(who, AccessRight::Lookup, path, protocol, "stat")?;
-            let mut st = self.backend.stat(path)?;
-            // Deferred write-back bytes: the tier copy is the truth.
-            if let Some(len) = self.tier.dirty_len(path) {
-                st.size = len;
-            }
-            Ok(st)
+            Ok(self.backend.stat(path)?)
         })();
         self.note_meta(t);
         r
@@ -673,9 +574,8 @@ impl StorageManager {
         let t = Instant::now();
         let r = (|| {
             self.authorize(who, AccessRight::Delete, path, protocol, "remove")?;
-            // The tier copy dies with the file; dirty bytes are dead too.
-            let _ = self.tier.invalidate(path);
             self.backend.remove(path)?;
+            self.tier.invalidate(path);
             if self.enforce_lots {
                 self.lots.release_file(path);
             }
@@ -702,13 +602,9 @@ impl StorageManager {
     ) -> Result<()> {
         self.authorize(who, AccessRight::Delete, from, protocol, "rename")?;
         self.authorize(who, AccessRight::Insert, to, protocol, "rename")?;
-        // Deferred write-back bytes must reach the backend *before* the
-        // name moves; clean copies under either name just drop.
-        if let Some(d) = self.tier.invalidate(from) {
-            self.persist_dirty(&d)?;
-        }
-        let _ = self.tier.invalidate(to);
         self.backend.rename(from, to)?;
+        self.tier.invalidate(from);
+        self.tier.invalidate(to);
         if self.enforce_lots {
             // Re-key the lot charge: release and re-charge under the new
             // name is unsafe (could fail); instead the lot manager keys by
@@ -757,10 +653,6 @@ impl StorageManager {
             self.lots
                 .charge_file(&who.user, &who.groups, path, size_hint, self.now())?;
         }
-        // The name is about to mean new bytes: any resident tier copy —
-        // including dirty write-back bytes being wholesale replaced — is
-        // dead.
-        let _ = self.tier.invalidate(path);
         if exists {
             self.backend.truncate(path, 0)?;
         } else if let Err(e) = self.backend.create(path) {
@@ -769,6 +661,8 @@ impl StorageManager {
             }
             return Err(e.into());
         }
+        // The name now means new bytes: any resident tier copy is dead.
+        self.tier.invalidate(path);
         Ok(())
     }
 
@@ -779,10 +673,9 @@ impl StorageManager {
     /// the backend (e.g. the file was never created) are swallowed because
     /// abort runs on an already-failed path.
     pub fn abort_put(&self, path: &VPath) {
-        // A failed PUT releases *both* its lot charge and any tier bytes
-        // (dirty write-back bytes of an aborted transfer are garbage).
-        let _ = self.tier.invalidate(path);
+        // A failed PUT releases *both* its lot charge and any tier bytes.
         let _ = self.backend.remove(path);
+        self.tier.invalidate(path);
         if self.enforce_lots {
             self.lots.release_file(path);
         }
@@ -793,8 +686,9 @@ impl StorageManager {
     /// zero. This is the transfer layer's `reset` path; routing it here
     /// (not straight at the backend) keeps the memory tier coherent.
     pub fn truncate_for_retry(&self, path: &VPath) -> Result<()> {
-        let _ = self.tier.invalidate(path);
-        Ok(self.backend.truncate(path, 0)?)
+        let r = self.backend.truncate(path, 0);
+        self.tier.invalidate(path);
+        Ok(r?)
     }
 
     /// Admits an outgoing transfer: checks the Read right and returns the
@@ -811,17 +705,15 @@ impl StorageManager {
         if self.enforce_lots {
             self.lots.touch_file(path, self.now());
         }
-        // A dirty write-back resident is the truth; the backend stat is
-        // stale until flush.
-        let size = self.tier.dirty_len(path).unwrap_or(st.size);
+        let size = st.size;
         if self.tier.enabled() {
             let hint = self
                 .residency_hint
                 .as_ref()
                 .map(|f| f(&path.to_string(), size))
                 .unwrap_or(false);
-            if self.tier.record_access(path, size, hint, self.now()) {
-                self.promote(path, size);
+            if let Some(ticket) = self.tier.record_access(path, size, hint, self.now()) {
+                self.promote(path, size, ticket);
             }
         }
         Ok(size)
@@ -841,7 +733,7 @@ impl StorageManager {
             let current = self.backend.stat(path).map(|s| s.size).unwrap_or(0);
             let new_end = offset + data.len() as u64;
             if new_end > current {
-                let charged = self.charged_bytes(path);
+                let (charged, _) = self.lots.file_charge(path, self.now());
                 if new_end > charged {
                     self.lots.charge_file(
                         &who.user,
@@ -854,69 +746,14 @@ impl StorageManager {
             }
         }
         let t = Instant::now();
-        let r = self.write_chunk_inner(who, path, offset, data);
+        let r = self.backend.write_at(path, offset, data);
+        // Any resident copy is now stale. Invalidating after the write,
+        // never before, is what voids a racing promotion's ticket.
+        self.tier.invalidate(path);
         if let Some(m) = &self.metrics {
             m.write_us.record(t.elapsed());
         }
-        r
-    }
-
-    fn write_chunk_inner(
-        &self,
-        _who: &Principal,
-        path: &VPath,
-        offset: u64,
-        data: &[u8],
-    ) -> Result<()> {
-        if self.tier.enabled() {
-            if let WritePolicy::WriteBack = self.write_policy_for(path) {
-                // Absorb the write into the tier; the backend copy is
-                // deferred. A non-resident object needs its current
-                // backend bytes as the base.
-                let resident = self.tier.object(path).is_some();
-                let base = if resident { None } else { self.load_base(path) };
-                if resident || base.is_some() {
-                    if let Some(victims) =
-                        self.tier
-                            .write_back(path, offset, data, base, self.guaranteed_backed(path))
-                    {
-                        self.flush_victims(&victims);
-                        return Ok(());
-                    }
-                }
-            }
-            // Write-through: deferred bytes (if any) must reach the
-            // backend before this chunk lands on top of them, and any
-            // clean resident copy is now stale.
-            if let Some(d) = self.tier.invalidate(path) {
-                self.persist_dirty(&d)?;
-            }
-        }
-        Ok(self.backend.write_at(path, offset, data)?)
-    }
-
-    /// Loads the current backend contents of `path` as a write-back base,
-    /// or `None` when the object is too big to hold whole (the write then
-    /// goes through).
-    fn load_base(&self, path: &VPath) -> Option<Vec<u8>> {
-        let size = self.backend.stat(path).ok()?.size;
-        if size > self.tier.max_object_bytes() {
-            return None;
-        }
-        let mut data = vec![0u8; size as usize];
-        let mut filled = 0;
-        while filled < data.len() {
-            match self
-                .backend
-                .read_at(path, filled as u64, &mut data[filled..])
-            {
-                Ok(0) => break,
-                Ok(n) => filled += n,
-                Err(_) => return None,
-            }
-        }
-        data.truncate(filled);
-        Some(data)
+        Ok(r?)
     }
 
     /// Reads a chunk during an admitted transfer — served from the memory
@@ -948,14 +785,6 @@ impl StorageManager {
     /// [`StorageBackend::lease_epoch`].
     pub fn lease_epoch(&self) -> Option<u64> {
         self.backend.lease_epoch()
-    }
-
-    fn charged_bytes(&self, path: &VPath) -> u64 {
-        self.lots
-            .all_lots()
-            .iter()
-            .filter_map(|l| l.files.get(path).copied())
-            .sum()
     }
 
     // -- lot operations (reachable via Chirp only, per the paper) ----------
@@ -1099,6 +928,7 @@ mod tests {
     use super::*;
     use crate::acl::Who;
     use crate::backend::MemBackend;
+    use parking_lot::Mutex;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn vp(s: &str) -> VPath {
@@ -1500,63 +1330,180 @@ mod tests {
         assert_eq!(sm.tier_stats().bytes, 0);
     }
 
-    #[test]
-    fn write_back_defers_and_flushes() {
-        let sm = open_manager(1 << 20).with_ram_tier(1 << 20);
-        let who = alice();
-        let lot = sm.lot_create(&who, 1 << 16, 3600).unwrap();
-        sm.set_lot_write_policy(lot, WritePolicy::WriteBack);
-        sm.begin_put(&who, "chirp", &vp("/wb"), 200).unwrap();
-        sm.write_chunk(&who, &vp("/wb"), 0, &[3; 200]).unwrap();
-        // The backend copy is deferred; the manager's stat is the truth.
-        assert_eq!(sm.backend().stat(&vp("/wb")).unwrap().size, 0);
-        assert_eq!(sm.stat(&who, "chirp", &vp("/wb")).unwrap().size, 200);
-        assert_eq!(sm.begin_get(&who, "chirp", &vp("/wb")).unwrap(), 200);
-        assert_eq!(sm.tier_stats().dirty_bytes, 200);
-        // Reads serve the dirty copy.
-        let mut buf = [0u8; 200];
-        assert_eq!(sm.read_chunk(&vp("/wb"), 0, &mut buf).unwrap(), 200);
-        assert_eq!(buf[0], 3);
-        // Flush persists and cleans.
-        assert_eq!(sm.flush_writeback(), 1);
-        assert_eq!(sm.backend().stat(&vp("/wb")).unwrap().size, 200);
-        assert_eq!(sm.tier_stats().dirty_bytes, 0);
-        assert_eq!(sm.tier_stats().writeback_flushes, 1);
-        // Back to write-through: the next write invalidates, not absorbs.
-        sm.set_lot_write_policy(lot, WritePolicy::WriteThrough);
-        sm.write_chunk(&who, &vp("/wb"), 0, &[4; 10]).unwrap();
-        assert_eq!(sm.backend().stat(&vp("/wb")).unwrap().size, 200);
-        let mut b = [0u8; 1];
-        sm.backend().read_at(&vp("/wb"), 0, &mut b).unwrap();
-        assert_eq!(b[0], 4);
+    /// A manager whose 1 MiB tier promotes on the first GET, with a lot
+    /// for alice.
+    fn hinted_tier_manager(backend: Arc<dyn StorageBackend>) -> (StorageManager, LotId) {
+        let sm = StorageManager::new(
+            backend,
+            AclTable::open_by_default(),
+            1 << 20,
+            ReclaimPolicy::ExpiredFirst,
+        )
+        .with_ram_tier(1 << 20)
+        .with_residency_hint(Arc::new(|_, _| true));
+        let lot = sm.lot_create(&alice(), 1 << 16, 3600).unwrap();
+        (sm, lot)
+    }
+
+    fn put(sm: &StorageManager, path: &str, data: &[u8]) {
+        sm.begin_put(&alice(), "chirp", &vp(path), data.len() as u64)
+            .unwrap();
+        sm.write_chunk(&alice(), &vp(path), 0, data).unwrap();
     }
 
     #[test]
     fn abort_put_releases_tier_bytes() {
-        let sm = open_manager(1 << 20).with_ram_tier(1 << 20);
-        let who = alice();
-        let lot = sm.lot_create(&who, 1 << 16, 3600).unwrap();
-        sm.set_lot_write_policy(lot, WritePolicy::WriteBack);
-        sm.begin_put(&who, "chirp", &vp("/doomed"), 500).unwrap();
-        sm.write_chunk(&who, &vp("/doomed"), 0, &[9; 500]).unwrap();
+        let (sm, lot) = hinted_tier_manager(Arc::new(MemBackend::new()));
+        put(&sm, "/doomed", &[9; 500]);
+        sm.begin_get(&alice(), "chirp", &vp("/doomed")).unwrap();
         assert_eq!(sm.tier_stats().bytes, 500);
         sm.abort_put(&vp("/doomed"));
         assert_eq!(sm.tier_stats().bytes, 0);
-        assert_eq!(sm.tier_stats().dirty_bytes, 0);
-        assert_eq!(sm.lot_stat(&who, lot).unwrap().used, 0);
+        assert_eq!(sm.lot_stat(&alice(), lot).unwrap().used, 0);
     }
 
     #[test]
-    fn rename_flushes_dirty_bytes_first() {
-        let sm = open_manager(1 << 20).with_ram_tier(1 << 20);
-        let who = alice();
-        let lot = sm.lot_create(&who, 1 << 16, 3600).unwrap();
-        sm.set_lot_write_policy(lot, WritePolicy::WriteBack);
-        sm.begin_put(&who, "chirp", &vp("/a"), 100).unwrap();
-        sm.write_chunk(&who, &vp("/a"), 0, &[5; 100]).unwrap();
-        sm.rename(&who, "chirp", &vp("/a"), &vp("/b")).unwrap();
-        assert_eq!(sm.backend().stat(&vp("/b")).unwrap().size, 100);
-        assert_eq!(sm.tier_stats().dirty_bytes, 0);
+    fn rename_drops_resident_copies_and_moves_lot_charge() {
+        let (sm, lot) = hinted_tier_manager(Arc::new(MemBackend::new()));
+        put(&sm, "/a", &[5; 100]);
+        sm.begin_get(&alice(), "chirp", &vp("/a")).unwrap();
+        // The destination cannot exist on the backend, so plant a copy
+        // under it directly in the tier.
+        let tier = sm.mem_tier();
+        let ticket = tier.record_access(&vp("/b"), 50, true, 0).unwrap();
+        tier.insert(&vp("/b"), vec![6; 50], false, ticket);
+        for p in ["/a", "/b"] {
+            assert!(sm.tier_object(&vp(p)).is_some());
+        }
+        sm.rename(&alice(), "chirp", &vp("/a"), &vp("/b")).unwrap();
+        assert!(sm.tier_object(&vp("/a")).is_none());
+        assert!(sm.tier_object(&vp("/b")).is_none());
+        assert_eq!(sm.tier_stats().bytes, 0);
+        // The next GET of the new name promotes the moved bytes.
+        sm.begin_get(&alice(), "chirp", &vp("/b")).unwrap();
+        assert_eq!(sm.tier_object(&vp("/b")).unwrap().as_slice(), &[5; 100]);
+        // The charge followed the name: removing it frees the lot.
+        sm.remove(&alice(), "chirp", &vp("/b")).unwrap();
+        assert_eq!(sm.lot_stat(&alice(), lot).unwrap().used, 0);
+    }
+
+    type Hook = Box<dyn FnOnce() + Send>;
+
+    /// A memory backend that runs a one-shot callback right after the
+    /// first `stat` or `read_at` (whichever the hook names) returns — a
+    /// writer landing at exactly that point of a promotion.
+    struct HookBackend {
+        inner: MemBackend,
+        hook: Mutex<Option<(&'static str, Hook)>>,
+    }
+
+    impl HookBackend {
+        fn fire(&self, op: &str) {
+            let hook = {
+                let mut slot = self.hook.lock();
+                match slot.take() {
+                    Some((want, f)) if want == op => Some(f),
+                    other => {
+                        *slot = other;
+                        None
+                    }
+                }
+            };
+            if let Some(f) = hook {
+                f();
+            }
+        }
+    }
+
+    impl StorageBackend for HookBackend {
+        fn create(&self, p: &VPath) -> io::Result<()> {
+            self.inner.create(p)
+        }
+        fn read_at(&self, p: &VPath, off: u64, buf: &mut [u8]) -> io::Result<usize> {
+            let r = self.inner.read_at(p, off, buf);
+            self.fire("read_at");
+            r
+        }
+        fn write_at(&self, p: &VPath, off: u64, data: &[u8]) -> io::Result<()> {
+            self.inner.write_at(p, off, data)
+        }
+        fn truncate(&self, p: &VPath, size: u64) -> io::Result<()> {
+            self.inner.truncate(p, size)
+        }
+        fn remove(&self, p: &VPath) -> io::Result<()> {
+            self.inner.remove(p)
+        }
+        fn rename(&self, from: &VPath, to: &VPath) -> io::Result<()> {
+            self.inner.rename(from, to)
+        }
+        fn mkdir(&self, p: &VPath) -> io::Result<()> {
+            self.inner.mkdir(p)
+        }
+        fn rmdir(&self, p: &VPath) -> io::Result<()> {
+            self.inner.rmdir(p)
+        }
+        fn list(&self, p: &VPath) -> io::Result<Vec<String>> {
+            self.inner.list(p)
+        }
+        fn stat(&self, p: &VPath) -> io::Result<FileStat> {
+            let r = self.inner.stat(p);
+            self.fire("stat");
+            r
+        }
+        fn used_bytes(&self) -> io::Result<u64> {
+            self.inner.used_bytes()
+        }
+    }
+
+    /// Runs a GET of `/f` (holding `[1; 100]`) with `write` landing just
+    /// after the backend `op` of the GET returns, and returns the manager.
+    fn get_racing_a_write(op: &'static str, write: Vec<u8>) -> Arc<StorageManager> {
+        let backend = Arc::new(HookBackend {
+            inner: MemBackend::new(),
+            hook: Mutex::new(None),
+        });
+        let (sm, _) = hinted_tier_manager(backend.clone());
+        let sm = Arc::new(sm);
+        put(&sm, "/f", &[1; 100]);
+        let writer = Arc::clone(&sm);
+        *backend.hook.lock() = Some((
+            op,
+            Box::new(move || writer.write_chunk(&alice(), &vp("/f"), 0, &write).unwrap()),
+        ));
+        sm.begin_get(&alice(), "chirp", &vp("/f")).unwrap();
+        assert!(backend.hook.lock().is_none(), "the racing write never ran");
+        sm
+    }
+
+    /// The tier may hold `/f` only as a copy of what the backend holds,
+    /// and every read through the manager serves the backend's bytes.
+    fn assert_tier_coherent(sm: &StorageManager) {
+        let size = sm.backend().stat(&vp("/f")).unwrap().size as usize;
+        let mut truth = vec![0u8; size];
+        sm.backend().read_at(&vp("/f"), 0, &mut truth).unwrap();
+        if let Some(resident) = sm.tier_object(&vp("/f")) {
+            assert_eq!(*resident, truth, "tier holds bytes the backend does not");
+        }
+        let mut served = vec![0u8; size];
+        assert_eq!(sm.read_chunk(&vp("/f"), 0, &mut served).unwrap(), size);
+        assert_eq!(served, truth);
+    }
+
+    #[test]
+    fn promotion_racing_an_overwrite_never_caches_the_old_bytes() {
+        // The promotion has read the old bytes when the write lands.
+        let sm = get_racing_a_write("read_at", vec![2; 100]);
+        assert_tier_coherent(&sm);
+        // The next GET promotes the new bytes.
+        sm.begin_get(&alice(), "chirp", &vp("/f")).unwrap();
+        assert_eq!(sm.tier_object(&vp("/f")).unwrap().as_slice(), &[2; 100]);
+    }
+
+    #[test]
+    fn promotion_racing_an_append_never_caches_a_truncated_copy() {
+        // The GET has sized the object when the write extends it.
+        let sm = get_racing_a_write("stat", vec![3; 150]);
+        assert_tier_coherent(&sm);
     }
 
     #[test]

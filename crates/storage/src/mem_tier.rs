@@ -1,5 +1,5 @@
-//! The actuating memory tier: a bounded, lot-aware RAM cache under the
-//! storage manager.
+//! The actuating memory tier: a bounded, lot-aware RAM cache of whole
+//! objects under the storage manager.
 //!
 //! The paper's gray-box cache model only *predicts* OS cache residency to
 //! inform scheduling. This module closes the loop: NeST manages its own
@@ -22,23 +22,24 @@
 //!   lot are demoted only under *global* pressure — when the guaranteed
 //!   working set alone no longer fits the budget. Best-effort traffic can
 //!   never push a guaranteed resident out.
-//! * **Large objects.** Objects larger than the per-object cap keep only
-//!   a head *segment* resident; chunk reads inside the segment are served
-//!   from RAM, the tail falls through to the backend. Only fully
-//!   resident objects are served through the transfer layer's
-//!   `MemSource`.
-//! * **Write policies.** `write_through` (default) invalidates the
-//!   resident copy and lets the next reads re-promote; per-lot opt-in
-//!   `write_back` absorbs writes into the tier and defers the backend
-//!   write until dirty bytes exceed their bound or the appliance drains.
-//!   Dirty bytes are lost on crash — see DESIGN.md §15 for the honest
-//!   crash-consistency statement.
+//! * **Whole objects, never the only copy.** Objects up to the per-object
+//!   cap (`budget / 4`) cache whole; larger ones are never admitted. Every
+//!   resident is a copy of bytes already on the backend: writes go to the
+//!   backend and then invalidate the copy, so a crash loses cache, never
+//!   data.
+//! * **Promotion tickets.** A promotion reads the backend with no tier
+//!   lock held. [`MemTier::record_access`] leaves a ticket in the path's
+//!   access entry, [`MemTier::invalidate`] removes that entry, and
+//!   [`MemTier::insert`] admits the object only if it removes a matching
+//!   ticket. Because every mutation path invalidates *after* changing the
+//!   backend, a promotion that may have read replaced bytes always finds
+//!   its ticket gone and caches nothing.
 //!
 //! Locking: the tier state sits behind one mutex, `storage.memtier`,
 //! rank 335 — above the lot table (300) and below the handle cache (340)
 //! per the DESIGN.md §11 order. The tier never calls into the lot manager
 //! or the backend while holding its lock: lot classification is computed
-//! by the caller beforehand, and promotion/flush I/O happens outside.
+//! by the caller beforehand, and promotion I/O happens outside.
 //!
 //! In front of the state sits a striped **presence index**
 //! (`storage.memtier.index`, rank 333): a conservative set of paths that
@@ -48,17 +49,17 @@
 //! path (entries are noted *before* they become resident and never
 //! removed on demotion/eviction), so it can report false positives —
 //! which merely fall through to the state lock — but never a false
-//! negative that would skip a resident (possibly dirty) copy. A per-cell
-//! cap with an overflow flag bounds its memory: a saturated cell answers
-//! "maybe" for everything, degrading to exactly the pre-index behavior.
-//! An index cell is never held concurrently with the state lock.
+//! negative that would skip a resident copy. A per-cell cap with an
+//! overflow flag bounds its memory: a saturated cell answers "maybe" for
+//! everything, degrading to exactly the pre-index behavior. An index cell
+//! is never held concurrently with the state lock.
 
 use crate::namespace::VPath;
 use nest_obs::metrics::{Counter, Gauge};
 use nest_obs::Obs;
 use parking_lot::{shard_hash, Mutex, ShardedMutex};
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Promote an object on this many accesses inside the window.
 pub const PROMOTE_HITS: u32 = 2;
@@ -66,25 +67,12 @@ pub const PROMOTE_HITS: u32 = 2;
 /// The access-counting window (seconds of the storage clock).
 pub const PROMOTE_WINDOW_SECS: u64 = 300;
 
-/// How a lot's writes interact with the tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WritePolicy {
-    /// Writes go to the backend immediately; any resident tier copy is
-    /// invalidated (the next hot reads re-promote the new bytes).
-    #[default]
-    WriteThrough,
-    /// Writes are absorbed into the tier and marked dirty; the backend
-    /// copy is deferred until the dirty bound is hit or the appliance
-    /// drains. Bytes not yet flushed are lost on crash.
-    WriteBack,
-}
-
 /// A point-in-time copy of the tier's counters, for tests and ads.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemTierStats {
-    /// Resident bytes (clean + dirty).
+    /// Resident bytes.
     pub bytes: u64,
-    /// Resident objects (whole or head segment).
+    /// Resident objects.
     pub objects: u64,
     /// Accesses served (or servable) from the tier.
     pub hits: u64,
@@ -96,36 +84,17 @@ pub struct MemTierStats {
     pub demotions: u64,
     /// Entries removed for coherence (write/remove/rename/truncate).
     pub evictions: u64,
-    /// Resident bytes not yet written to the backend.
-    pub dirty_bytes: u64,
-    /// Dirty entries persisted to the backend.
-    pub writeback_flushes: u64,
 }
 
-/// A dirty entry handed to the caller for persistence. The tier keeps the
-/// entry resident; the caller writes `data` to the backend and then calls
-/// [`MemTier::mark_clean`] with the same `version` (a newer racing write
-/// keeps the entry dirty).
-#[derive(Debug, Clone)]
-pub struct DirtyObject {
-    /// Virtual path of the object.
-    pub path: VPath,
-    /// Full object bytes at snapshot time.
-    pub data: Arc<Vec<u8>>,
-    /// Dirty-write version the snapshot reflects.
-    pub version: u64,
-}
+/// Permission to promote one path, issued by [`MemTier::record_access`].
+/// [`MemTier::insert`] honours it only while no invalidation of the path
+/// has happened since it was issued.
+#[derive(Debug)]
+pub struct PromotionTicket(u64);
 
 #[derive(Debug)]
 struct Entry {
     data: Arc<Vec<u8>>,
-    /// True when `data` holds the whole object (vs a head segment).
-    full: bool,
-    /// Logical object size (== data.len() when `full`).
-    object_size: u64,
-    dirty: bool,
-    /// Incremented on every dirty write; guards `mark_clean` races.
-    version: u64,
     guaranteed: bool,
     last_tick: u64,
     /// Hits served since promotion — the coldness key for demotion.
@@ -139,6 +108,8 @@ struct Entry {
 struct AccessStat {
     count: u32,
     window_start: u64,
+    /// The outstanding promotion ticket, if any.
+    ticket: Option<u64>,
 }
 
 struct TierState {
@@ -146,13 +117,11 @@ struct TierState {
     access: HashMap<VPath, AccessStat>,
     tick: u64,
     bytes: u64,
-    dirty_bytes: u64,
     hits: u64,
     misses: u64,
     promotions: u64,
     demotions: u64,
     evictions: u64,
-    writeback_flushes: u64,
 }
 
 /// Instrument handles, resolved once at [`MemTier::register_obs`] and
@@ -160,13 +129,11 @@ struct TierState {
 struct Instruments {
     bytes: Arc<Gauge>,
     objects: Arc<Gauge>,
-    dirty_bytes: Arc<Gauge>,
     hits: Arc<Counter>,
     misses: Arc<Counter>,
     promotions: Arc<Counter>,
     demotions: Arc<Counter>,
     evictions: Arc<Counter>,
-    writeback_flushes: Arc<Counter>,
 }
 
 /// One stripe of the presence index: paths that may be resident. See the
@@ -187,16 +154,15 @@ const PRESENCE_CELL_CAP: usize = 64 * 1024;
 /// path — the ablation baseline does no bookkeeping at all.
 pub struct MemTier {
     budget: u64,
-    /// Largest object cached whole; bigger objects keep a head segment of
-    /// exactly this size. Default: budget / 4.
+    /// Largest object admitted (whole): budget / 4.
     max_object_bytes: u64,
-    /// Bound on deferred (dirty) bytes. Default: budget / 4.
-    max_dirty_bytes: u64,
     state: Mutex<TierState>,
     /// Striped may-be-resident filter consulted before `state` on read
     /// paths; never held concurrently with the state lock.
     index: ShardedMutex<PresenceCell>,
-    instruments: Mutex<Option<Instruments>>,
+    /// Written once by [`MemTier::register_obs`], then read lock-free on
+    /// every access, insert and invalidation.
+    instruments: OnceLock<Instruments>,
 }
 
 impl std::fmt::Debug for MemTier {
@@ -224,7 +190,6 @@ impl MemTier {
         Self {
             budget,
             max_object_bytes: (budget / 4).max(1),
-            max_dirty_bytes: (budget / 4).max(1),
             state: Mutex::named(
                 "storage.memtier",
                 335,
@@ -233,20 +198,18 @@ impl MemTier {
                     access: HashMap::new(),
                     tick: 0,
                     bytes: 0,
-                    dirty_bytes: 0,
                     hits: 0,
                     misses: 0,
                     promotions: 0,
                     demotions: 0,
                     evictions: 0,
-                    writeback_flushes: 0,
                 },
             ),
             index: ShardedMutex::new("storage.memtier.index", 333, shards, |_| PresenceCell {
                 present: HashSet::new(),
                 overflow: false,
             }),
-            instruments: Mutex::named("storage.memtier.instruments", 336, None),
+            instruments: OnceLock::new(),
         }
     }
 
@@ -275,27 +238,9 @@ impl MemTier {
         cell.present.insert(path.clone());
     }
 
-    /// Overrides the per-object residency cap (for tests).
-    pub fn with_max_object_bytes(mut self, cap: u64) -> Self {
-        self.max_object_bytes = cap.max(1);
-        self
-    }
-
-    /// Overrides the dirty-byte bound (for tests).
-    pub fn with_max_dirty_bytes(mut self, cap: u64) -> Self {
-        self.max_dirty_bytes = cap.max(1);
-        self
-    }
-
     /// The configured byte budget.
     pub fn budget(&self) -> u64 {
         self.budget
-    }
-
-    /// Largest object cached whole; bigger objects keep a head segment of
-    /// exactly this many bytes.
-    pub fn max_object_bytes(&self) -> u64 {
-        self.max_object_bytes
     }
 
     /// Whether the tier participates at all.
@@ -304,34 +249,34 @@ impl MemTier {
     }
 
     /// Registers the `memtier.*` instruments and back-fills any counts
-    /// accumulated before registration.
+    /// accumulated before registration. The first registration wins;
+    /// later ones are ignored.
     pub fn register_obs(&self, obs: &Obs) {
         if !self.enabled() {
             return;
         }
-        let inst = Instruments {
-            bytes: obs.metrics.gauge("memtier.bytes"),
-            objects: obs.metrics.gauge("memtier.objects"),
-            dirty_bytes: obs.metrics.gauge("memtier.dirty_bytes"),
-            hits: obs.metrics.counter("memtier.hits"),
-            misses: obs.metrics.counter("memtier.misses"),
-            promotions: obs.metrics.counter("memtier.promotions"),
-            demotions: obs.metrics.counter("memtier.demotions"),
-            evictions: obs.metrics.counter("memtier.evictions"),
-            writeback_flushes: obs.metrics.counter("memtier.writeback_flushes"),
-        };
+        // Held across the publish so no count lands between the back-fill
+        // and the instruments becoming visible.
         let st = self.state.lock();
-        inst.bytes.set(st.bytes as i64);
-        inst.objects.set(st.entries.len() as i64);
-        inst.dirty_bytes.set(st.dirty_bytes as i64);
-        inst.hits.add(st.hits);
-        inst.misses.add(st.misses);
-        inst.promotions.add(st.promotions);
-        inst.demotions.add(st.demotions);
-        inst.evictions.add(st.evictions);
-        inst.writeback_flushes.add(st.writeback_flushes);
-        drop(st);
-        *self.instruments.lock() = Some(inst);
+        self.instruments.get_or_init(|| {
+            let inst = Instruments {
+                bytes: obs.metrics.gauge("memtier.bytes"),
+                objects: obs.metrics.gauge("memtier.objects"),
+                hits: obs.metrics.counter("memtier.hits"),
+                misses: obs.metrics.counter("memtier.misses"),
+                promotions: obs.metrics.counter("memtier.promotions"),
+                demotions: obs.metrics.counter("memtier.demotions"),
+                evictions: obs.metrics.counter("memtier.evictions"),
+            };
+            inst.bytes.set(st.bytes as i64);
+            inst.objects.set(st.entries.len() as i64);
+            inst.hits.add(st.hits);
+            inst.misses.add(st.misses);
+            inst.promotions.add(st.promotions);
+            inst.demotions.add(st.demotions);
+            inst.evictions.add(st.evictions);
+            inst
+        });
     }
 
     /// Counter snapshot.
@@ -348,60 +293,72 @@ impl MemTier {
             promotions: st.promotions,
             demotions: st.demotions,
             evictions: st.evictions,
-            dirty_bytes: st.dirty_bytes,
-            writeback_flushes: st.writeback_flushes,
         }
     }
 
     /// Records a GET-granular access to `path` and decides promotion.
-    /// Counts a hit when the object is already fully resident, a miss
-    /// otherwise. Returns `true` when the caller should load the object
-    /// into the tier now: on the [`PROMOTE_HITS`]-th access inside the
-    /// window, or immediately when `resident_hint` says the cache model
-    /// already predicts the object hot.
-    pub fn record_access(&self, path: &VPath, size: u64, resident_hint: bool, now: u64) -> bool {
+    /// Counts a hit when the object is resident, a miss otherwise. Returns
+    /// a ticket when the caller should read the object (exactly `size`
+    /// bytes) and [`MemTier::insert`] it: on the [`PROMOTE_HITS`]-th
+    /// access inside the window, or immediately when `resident_hint` says
+    /// the cache model already predicts the object hot. Objects larger
+    /// than `budget / 4` are never promoted.
+    pub fn record_access(
+        &self,
+        path: &VPath,
+        size: u64,
+        resident_hint: bool,
+        now: u64,
+    ) -> Option<PromotionTicket> {
         if !self.enabled() {
-            return false;
+            return None;
         }
         let mut st = self.state.lock();
         st.tick += 1;
         let tick = st.tick;
         if let Some(e) = st.entries.get_mut(path) {
             e.last_tick = tick;
-            if e.full {
-                e.hit_count += 1;
-                st.hits += 1;
-                self.with_instruments(|i| i.hits.inc());
-                return false;
-            }
+            e.hit_count += 1;
+            st.hits += 1;
+            self.with_instruments(|i| i.hits.inc());
+            return None;
         }
         st.misses += 1;
         self.with_instruments(|i| i.misses.inc());
-        if size == 0 || size > self.budget {
-            return false;
+        if size == 0 || size > self.max_object_bytes {
+            return None;
         }
         let stat = st.access.entry(path.clone()).or_insert(AccessStat {
             count: 0,
             window_start: now,
+            ticket: None,
         });
         if now.saturating_sub(stat.window_start) > PROMOTE_WINDOW_SECS {
             stat.count = 0;
             stat.window_start = now;
         }
         stat.count += 1;
-        let promote = stat.count >= PROMOTE_HITS || resident_hint;
-        if promote {
-            st.access.remove(path);
-        } else if st.access.len() > 64 * 1024 {
-            // Bound the access table: drop stats whose window lapsed.
+        if stat.count >= PROMOTE_HITS || resident_hint {
+            // The count restarts; the ticket waits for `insert` (or an
+            // invalidation) to consume it.
+            *stat = AccessStat {
+                count: 0,
+                window_start: now,
+                ticket: Some(tick),
+            };
+            return Some(PromotionTicket(tick));
+        }
+        if st.access.len() > 64 * 1024 {
+            // Bound the access table: drop stats whose window lapsed
+            // (abandoned tickets included).
             st.access
                 .retain(|_, s| now.saturating_sub(s.window_start) <= PROMOTE_WINDOW_SECS);
         }
-        promote
+        None
     }
 
-    /// The whole object, when fully resident — the transfer layer wraps
-    /// this in a `MemSource`. Does not count a hit ([`record_access`]
+    /// The whole object, when resident — the transfer layer wraps this in
+    /// a `MemSource`. Does not count a hit ([`MemTier::record_access`]
     /// already did).
     pub fn object(&self, path: &VPath) -> Option<Arc<Vec<u8>>> {
         if !self.enabled() || !self.maybe_resident(path) {
@@ -411,16 +368,13 @@ impl MemTier {
         st.tick += 1;
         let tick = st.tick;
         let e = st.entries.get_mut(path)?;
-        if !e.full {
-            return None;
-        }
         e.last_tick = tick;
         Some(Arc::clone(&e.data))
     }
 
-    /// Serves a chunk read from the resident copy (whole object or head
-    /// segment). Returns `None` when the range is not resident — the
-    /// caller falls through to the backend.
+    /// Serves a chunk read from the resident copy (`Some(0)` past its
+    /// end). Returns `None` when the object is not resident — the caller
+    /// falls through to the backend.
     pub fn read_at(&self, path: &VPath, offset: u64, buf: &mut [u8]) -> Option<usize> {
         if !self.enabled() || !self.maybe_resident(path) {
             return None;
@@ -429,84 +383,39 @@ impl MemTier {
         st.tick += 1;
         let tick = st.tick;
         let e = st.entries.get_mut(path)?;
-        let data = &e.data;
-        if offset >= e.object_size {
-            // Past logical EOF of a fully known object: a definitive 0.
-            if e.full {
-                e.last_tick = tick;
-                return Some(0);
-            }
-            return None;
-        }
-        let off = offset as usize;
-        if off >= data.len() {
-            return None; // tail beyond the resident segment
-        }
-        let n = buf.len().min(data.len() - off);
-        if !e.full && off + n == data.len() && (off + n) as u64 != e.object_size {
-            // Segment boundary mid-buffer: serving a short read here would
-            // look like EOF to chunk loops. Fall through whole.
-            return None;
-        }
-        buf[..n].copy_from_slice(&data[off..off + n]);
+        let off = offset.min(e.data.len() as u64) as usize;
+        let n = buf.len().min(e.data.len() - off);
+        buf[..n].copy_from_slice(&e.data[off..off + n]);
         e.last_tick = tick;
         Some(n)
     }
 
-    /// The logical size of a dirty resident object (the backend's stat is
-    /// stale until flush).
-    pub fn dirty_len(&self, path: &VPath) -> Option<u64> {
-        if !self.enabled() || !self.maybe_resident(path) {
-            return None;
+    /// Loads a whole object read from the backend under `ticket`.
+    /// `guaranteed` classifies the entry for demotion. The insert is
+    /// dropped when the ticket is stale (the path was invalidated since
+    /// it was issued, so `data` may predate a write), when the object
+    /// exceeds `budget / 4`, or when room cannot be made without
+    /// violating the lot rule: best-effort entries never demote
+    /// guaranteed residents.
+    pub fn insert(&self, path: &VPath, data: Vec<u8>, guaranteed: bool, ticket: PromotionTicket) {
+        if !self.enabled() || data.len() as u64 > self.max_object_bytes {
+            return;
         }
-        let st = self.state.lock();
-        let e = st.entries.get(path)?;
-        if e.dirty {
-            Some(e.object_size)
-        } else {
-            None
-        }
-    }
-
-    /// Loads a clean object (or head segment when `data.len()` is below
-    /// `object_size`) into the tier. `guaranteed` classifies the entry for
-    /// demotion. Returns dirty victims the caller must persist; clean
-    /// victims are simply dropped. The insert is refused (no-op) when
-    /// room cannot be made without violating the lot rule: best-effort
-    /// entries never demote guaranteed residents.
-    pub fn insert(
-        &self,
-        path: &VPath,
-        data: Vec<u8>,
-        object_size: u64,
-        guaranteed: bool,
-    ) -> Vec<DirtyObject> {
-        if !self.enabled() || data.len() as u64 > self.budget {
-            return Vec::new();
-        }
-        let full = data.len() as u64 == object_size;
         // Index first (cell released before the state lock): a reader that
         // sees the entry resident must already see it in the index.
         self.note_present(path);
         let mut st = self.state.lock();
-        let mut out = Vec::new();
-        // Replacing an existing entry: a dirty old copy must still reach
-        // the backend (the caller loaded `data` from it or supersedes it).
-        if let Some(old) = st.entries.remove(path) {
-            st.bytes -= old.data.len() as u64;
-            if old.dirty {
-                st.dirty_bytes -= old.data.len() as u64;
+        match st.access.get(path) {
+            Some(a) if a.ticket == Some(ticket.0) => {
+                st.access.remove(path);
             }
+            // Tickets are issued only for non-resident paths and an insert
+            // consumes its ticket, so a current ticket means no entry.
+            _ => return,
         }
-        if !Self::make_room(
-            &mut st,
-            data.len() as u64,
-            self.budget,
-            guaranteed,
-            &mut out,
-        ) {
+        if !Self::make_room(&mut st, data.len() as u64, self.budget, guaranteed) {
             self.sync_gauges(&st);
-            return out;
+            return;
         }
         st.tick += 1;
         let tick = st.tick;
@@ -517,205 +426,29 @@ impl MemTier {
             path.clone(),
             Entry {
                 data: Arc::new(data),
-                full,
-                object_size,
-                dirty: false,
-                version: 0,
                 guaranteed,
                 last_tick: tick,
                 hit_count: 0,
             },
         );
         self.sync_gauges(&st);
-        out
     }
 
-    /// Absorbs a write-back write at `offset`. The resident copy becomes
-    /// (or stays) dirty; a non-resident object starts from `base` (the
-    /// current backend contents, loaded by the caller). Returns dirty
-    /// victims to persist when the write pushed dirty bytes past their
-    /// bound, or when room had to be made. `None` means the tier refused
-    /// the write (over budget / lot rule) and the caller must write
-    /// through instead.
-    pub fn write_back(
-        &self,
-        path: &VPath,
-        offset: u64,
-        data: &[u8],
-        base: Option<Vec<u8>>,
-        guaranteed: bool,
-    ) -> Option<Vec<DirtyObject>> {
-        if !self.enabled() {
-            return None;
-        }
-        let end = offset + data.len() as u64;
-        // Index first (cell released before the state lock): `dirty_len`
-        // must never be able to skip a dirty resident.
-        self.note_present(path);
-        let mut st = self.state.lock();
-        let mut out = Vec::new();
-        st.tick += 1;
-        let tick = st.tick;
-
-        // Sizing first, before any state changes: a full resident copy
-        // continues from its current length, anything else from `base`
-        // (the caller-loaded backend contents).
-        let have_full = st.entries.get(path).is_some_and(|e| e.full);
-        let cur_len = if have_full {
-            st.entries.get(path).map_or(0, |e| e.data.len() as u64)
-        } else {
-            base.as_ref()?.len() as u64
-        };
-        let new_len = cur_len.max(end);
-        if new_len > self.max_object_bytes {
-            return None; // too big to hold whole; write through
-        }
-
-        let old = st.entries.remove(path);
-        let (old_len, old_dirty, version) = match &old {
-            Some(old) => (old.data.len() as u64, old.dirty, old.version),
-            None => (0, false, 0),
-        };
-        st.bytes -= old_len;
-        if old_dirty {
-            st.dirty_bytes -= old_len;
-        }
-        if !Self::make_room(&mut st, new_len, self.budget, guaranteed, &mut out) {
-            // Refused: restore the prior resident copy (it may be dirty —
-            // those bytes must not vanish) and let the caller write through.
-            if let Some(old) = old {
-                st.bytes += old_len;
-                if old_dirty {
-                    st.dirty_bytes += old_len;
-                }
-                st.entries.insert(path.clone(), old);
-            }
-            self.sync_gauges(&st);
-            return None;
-        }
-        // Take the buffer without copying: a full resident is mutated in
-        // place unless a reader still holds its Arc (then one clone pays
-        // for the snapshot being served); otherwise start from `base`.
-        // Cloning per chunk here would make a streamed write-back PUT
-        // quadratic in the object size.
-        let mut buf = match (old, base) {
-            (Some(o), _) if o.full => {
-                Arc::try_unwrap(o.data).unwrap_or_else(|shared| shared.as_ref().clone())
-            }
-            (_, Some(b)) => b,
-            _ => {
-                nest_check::invariant!(false, "non-resident write-back requires a base");
-                Vec::new()
-            }
-        };
-        if buf.len() < end as usize {
-            buf.resize(end as usize, 0);
-        }
-        buf[offset as usize..end as usize].copy_from_slice(data);
-        st.bytes += new_len;
-        st.dirty_bytes += new_len;
-        st.entries.insert(
-            path.clone(),
-            Entry {
-                data: Arc::new(buf),
-                full: true,
-                object_size: new_len,
-                dirty: true,
-                version: version + 1,
-                guaranteed,
-                last_tick: tick,
-                hit_count: 0,
-            },
-        );
-        // Dirty bound: snapshot the oldest other dirty entries for flush.
-        if st.dirty_bytes > self.max_dirty_bytes {
-            let mut dirty: Vec<(VPath, u64)> = st
-                .entries
-                .iter()
-                .filter(|(p, e)| e.dirty && *p != path)
-                .map(|(p, e)| (p.clone(), e.last_tick))
-                .collect();
-            dirty.sort_by_key(|(_, t)| *t);
-            let mut excess = st.dirty_bytes.saturating_sub(self.max_dirty_bytes);
-            for (p, _) in dirty {
-                if excess == 0 {
-                    break;
-                }
-                let e = &st.entries[&p];
-                excess = excess.saturating_sub(e.data.len() as u64);
-                out.push(DirtyObject {
-                    path: p.clone(),
-                    data: Arc::clone(&e.data),
-                    version: e.version,
-                });
-            }
-        }
-        self.sync_gauges(&st);
-        Some(out)
-    }
-
-    /// Marks an entry clean after the caller persisted [`DirtyObject`]
-    /// `version`; a newer racing dirty write keeps it dirty.
-    pub fn mark_clean(&self, path: &VPath, version: u64) {
+    /// Drops any resident copy of `path`, and any outstanding promotion
+    /// ticket for it, for coherence (write, remove, rename, truncate,
+    /// recreate, abort). Callers invalidate *after* changing the backend.
+    pub fn invalidate(&self, path: &VPath) {
         if !self.enabled() {
             return;
         }
         let mut st = self.state.lock();
-        if let Some(e) = st.entries.get_mut(path) {
-            if e.dirty && e.version == version {
-                e.dirty = false;
-                let len = e.data.len() as u64;
-                st.dirty_bytes -= len;
-                st.writeback_flushes += 1;
-                self.with_instruments(|i| i.writeback_flushes.inc());
-            }
-        }
-        self.sync_gauges(&st);
-    }
-
-    /// Snapshots every dirty entry for a full flush (drain / shutdown).
-    pub fn snapshot_dirty(&self) -> Vec<DirtyObject> {
-        if !self.enabled() {
-            return Vec::new();
-        }
-        let st = self.state.lock();
-        st.entries
-            .iter()
-            .filter(|(_, e)| e.dirty)
-            .map(|(p, e)| DirtyObject {
-                path: p.clone(),
-                data: Arc::clone(&e.data),
-                version: e.version,
-            })
-            .collect()
-    }
-
-    /// Drops any resident copy for coherence (write-through write,
-    /// remove, rename, truncate, recreate, abort). Returns the dirty copy
-    /// if there was one, so the caller can decide whether those bytes
-    /// still need to reach the backend (rename) or are dead (remove).
-    pub fn invalidate(&self, path: &VPath) -> Option<DirtyObject> {
-        if !self.enabled() {
-            return None;
-        }
-        let mut st = self.state.lock();
         st.access.remove(path);
-        let old = st.entries.remove(path)?;
-        st.bytes -= old.data.len() as u64;
-        st.evictions += 1;
-        self.with_instruments(|i| i.evictions.inc());
-        let dirty = if old.dirty {
-            st.dirty_bytes -= old.data.len() as u64;
-            Some(DirtyObject {
-                path: path.clone(),
-                data: old.data,
-                version: old.version,
-            })
-        } else {
-            None
-        };
-        self.sync_gauges(&st);
-        dirty
+        if let Some(old) = st.entries.remove(path) {
+            st.bytes -= old.data.len() as u64;
+            st.evictions += 1;
+            self.with_instruments(|i| i.evictions.inc());
+            self.sync_gauges(&st);
+        }
     }
 
     /// Resident bytes currently classified guaranteed (for tests).
@@ -734,17 +467,10 @@ impl MemTier {
     /// Demotes cold entries until `need` more bytes fit in `budget`.
     /// Best-effort inserts (`guaranteed == false`) may only demote other
     /// best-effort entries; guaranteed inserts demote best-effort first
-    /// and touch guaranteed residents only under global pressure. Dirty
-    /// victims are appended to `out` for the caller to persist. Returns
+    /// and touch guaranteed residents only under global pressure. Returns
     /// false (leaving room unmade) when the lot rule forbids enough
     /// demotion.
-    fn make_room(
-        st: &mut TierState,
-        need: u64,
-        budget: u64,
-        guaranteed: bool,
-        out: &mut Vec<DirtyObject>,
-    ) -> bool {
+    fn make_room(st: &mut TierState, need: u64, budget: u64, guaranteed: bool) -> bool {
         if st.bytes + need <= budget {
             return true;
         }
@@ -780,30 +506,21 @@ impl MemTier {
         for p in planned {
             let e = st.entries.remove(&p).expect("planned victim present");
             st.bytes -= e.data.len() as u64;
-            if e.dirty {
-                st.dirty_bytes -= e.data.len() as u64;
-                out.push(DirtyObject {
-                    path: p,
-                    data: e.data,
-                    version: e.version,
-                });
-            }
             st.demotions += 1;
         }
         true
     }
 
     fn with_instruments(&self, f: impl FnOnce(&Instruments)) {
-        if let Some(i) = self.instruments.lock().as_ref() {
+        if let Some(i) = self.instruments.get() {
             f(i);
         }
     }
 
     fn sync_gauges(&self, st: &TierState) {
-        if let Some(i) = self.instruments.lock().as_ref() {
+        if let Some(i) = self.instruments.get() {
             i.bytes.set(st.bytes as i64);
             i.objects.set(st.entries.len() as i64);
-            i.dirty_bytes.set(st.dirty_bytes as i64);
             // Demotions are batch-counted here rather than per victim.
             let counted = i.demotions.get();
             if st.demotions > counted {
@@ -825,12 +542,20 @@ mod tests {
         vec![fill; n]
     }
 
+    /// Promotes `data` under `path` the way the manager does: a hinted
+    /// access issues the ticket, the insert redeems it.
+    fn promote(t: &MemTier, path: &str, data: Vec<u8>, guaranteed: bool) {
+        if let Some(ticket) = t.record_access(&vp(path), data.len() as u64, true, 0) {
+            t.insert(&vp(path), data, guaranteed, ticket);
+        }
+    }
+
     #[test]
     fn disabled_tier_is_inert() {
         let t = MemTier::new(0);
         assert!(!t.enabled());
-        assert!(!t.record_access(&vp("/a"), 10, true, 0));
-        assert!(t.insert(&vp("/a"), obj(10, 1), 10, false).is_empty());
+        assert!(t.record_access(&vp("/a"), 10, true, 0).is_none());
+        t.insert(&vp("/a"), obj(10, 1), false, PromotionTicket(0));
         assert!(t.object(&vp("/a")).is_none());
         assert_eq!(t.stats(), MemTierStats::default());
     }
@@ -838,30 +563,31 @@ mod tests {
     #[test]
     fn promotes_on_second_access_within_window() {
         let t = MemTier::new(1024);
-        assert!(!t.record_access(&vp("/f"), 100, false, 10));
-        assert!(t.record_access(&vp("/f"), 100, false, 20));
+        assert!(t.record_access(&vp("/f"), 100, false, 10).is_none());
+        assert!(t.record_access(&vp("/f"), 100, false, 20).is_some());
     }
 
     #[test]
     fn window_lapse_resets_the_count() {
         let t = MemTier::new(1024);
-        assert!(!t.record_access(&vp("/f"), 100, false, 0));
+        assert!(t.record_access(&vp("/f"), 100, false, 0).is_none());
         // Second access far outside the window starts a fresh count.
-        assert!(!t.record_access(&vp("/f"), 100, false, PROMOTE_WINDOW_SECS + 1));
+        assert!(t
+            .record_access(&vp("/f"), 100, false, PROMOTE_WINDOW_SECS + 1)
+            .is_none());
     }
 
     #[test]
     fn residency_hint_promotes_immediately() {
         let t = MemTier::new(1024);
-        assert!(t.record_access(&vp("/hot"), 100, true, 0));
+        assert!(t.record_access(&vp("/hot"), 100, true, 0).is_some());
     }
 
     #[test]
     fn hit_and_miss_accounting() {
         let t = MemTier::new(1024);
-        t.record_access(&vp("/f"), 100, true, 0);
-        t.insert(&vp("/f"), obj(100, 7), 100, false);
-        assert!(!t.record_access(&vp("/f"), 100, false, 1));
+        promote(&t, "/f", obj(100, 7), false);
+        assert!(t.record_access(&vp("/f"), 100, false, 1).is_none());
         let s = t.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
         assert_eq!(s.bytes, 100);
@@ -871,135 +597,105 @@ mod tests {
     #[test]
     fn read_at_serves_resident_ranges() {
         let t = MemTier::new(1024);
-        t.insert(&vp("/f"), obj(100, 9), 100, false);
+        promote(&t, "/f", obj(100, 9), false);
         let mut buf = [0u8; 40];
         assert_eq!(t.read_at(&vp("/f"), 60, &mut buf), Some(40));
         assert_eq!(buf, [9u8; 40]);
-        // Past EOF of a full object is a definitive zero-length read.
+        // Past EOF of a resident object is a definitive zero-length read.
         assert_eq!(t.read_at(&vp("/f"), 100, &mut buf), Some(0));
         assert!(t.read_at(&vp("/missing"), 0, &mut buf).is_none());
     }
 
     #[test]
-    fn head_segment_serves_only_the_head() {
-        let t = MemTier::new(1024);
-        // 50 resident bytes of a 200-byte object.
-        t.insert(&vp("/big"), obj(50, 3), 200, false);
-        assert!(t.object(&vp("/big")).is_none(), "segment is not full");
-        let mut buf = [0u8; 25];
-        assert_eq!(t.read_at(&vp("/big"), 0, &mut buf), Some(25));
-        // A read that would end exactly at the segment edge mid-object
-        // falls through (a short read would masquerade as EOF).
-        assert!(t.read_at(&vp("/big"), 25, &mut buf).is_none());
-        assert!(t.read_at(&vp("/big"), 60, &mut buf).is_none());
-    }
-
-    #[test]
     fn budget_is_strict_and_demotes_cold_first() {
-        let t = MemTier::new(300);
-        t.insert(&vp("/a"), obj(100, 1), 100, false);
-        t.insert(&vp("/b"), obj(100, 2), 100, false);
-        t.insert(&vp("/c"), obj(100, 3), 100, false);
+        let t = MemTier::new(400);
+        for (p, fill) in [("/a", 1), ("/b", 2), ("/c", 3), ("/d", 4)] {
+            promote(&t, p, obj(100, fill), false);
+        }
         // Touch /a so /b is the coldest.
         assert!(t.object(&vp("/a")).is_some());
-        t.insert(&vp("/d"), obj(100, 4), 100, false);
+        promote(&t, "/e", obj(100, 5), false);
         let s = t.stats();
-        assert_eq!(s.bytes, 300);
+        assert_eq!(s.bytes, 400);
         assert_eq!(s.demotions, 1);
         assert!(t.object(&vp("/b")).is_none(), "coldest entry demoted");
         assert!(t.object(&vp("/a")).is_some());
-        assert!(t.object(&vp("/d")).is_some());
+        assert!(t.object(&vp("/e")).is_some());
     }
 
     #[test]
     fn best_effort_never_demotes_guaranteed() {
-        let t = MemTier::new(250);
-        t.insert(&vp("/g1"), obj(100, 1), 100, true);
-        t.insert(&vp("/g2"), obj(100, 2), 100, true);
-        // Best-effort insert needs 100 but only 50 are reclaimable from
-        // its own class: refused, guaranteed residents untouched.
-        t.insert(&vp("/be"), obj(100, 3), 100, false);
+        let t = MemTier::new(400);
+        for p in ["/g1", "/g2", "/g3", "/g4"] {
+            promote(&t, p, obj(100, 1), true);
+        }
+        // A full tier of guaranteed residents: the best-effort insert is
+        // refused, guaranteed residents untouched.
+        promote(&t, "/be", obj(100, 3), false);
         assert!(t.object(&vp("/be")).is_none());
-        assert_eq!(t.guaranteed_bytes(), 200);
+        assert_eq!(t.guaranteed_bytes(), 400);
         assert_eq!(t.stats().demotions, 0);
     }
 
     #[test]
     fn guaranteed_insert_demotes_best_effort_then_guaranteed() {
-        let t = MemTier::new(250);
-        t.insert(&vp("/be"), obj(100, 1), 100, false);
-        t.insert(&vp("/g1"), obj(100, 2), 100, true);
-        // Guaranteed insert: best-effort victim goes first.
-        t.insert(&vp("/g2"), obj(100, 3), 100, true);
+        let t = MemTier::new(400);
+        promote(&t, "/be", obj(100, 1), false);
+        for p in ["/g1", "/g2", "/g3"] {
+            promote(&t, p, obj(100, 2), true);
+        }
+        // Guaranteed insert: the best-effort victim goes first.
+        promote(&t, "/g4", obj(100, 3), true);
         assert!(t.object(&vp("/be")).is_none());
         assert!(t.object(&vp("/g1")).is_some());
         // Global pressure: a further guaranteed insert may demote the
         // coldest guaranteed resident.
-        t.insert(&vp("/g3"), obj(200, 4), 200, true);
-        assert!(t.object(&vp("/g3")).is_some());
-        assert_eq!(t.stats().bytes, 200);
+        promote(&t, "/g5", obj(100, 4), true);
+        assert!(t.object(&vp("/g5")).is_some());
+        assert!(t.object(&vp("/g2")).is_none());
+        assert_eq!(t.stats().bytes, 400);
     }
 
     #[test]
     fn invalidate_drops_and_counts_eviction() {
         let t = MemTier::new(1024);
-        t.insert(&vp("/f"), obj(100, 1), 100, false);
-        assert!(t.invalidate(&vp("/f")).is_none(), "clean copy: no flush");
+        promote(&t, "/f", obj(100, 1), false);
+        t.invalidate(&vp("/f"));
         assert_eq!(t.stats().bytes, 0);
         assert_eq!(t.stats().evictions, 1);
     }
 
     #[test]
-    fn write_back_dirties_and_flush_cleans() {
+    fn invalidation_between_access_and_insert_voids_the_ticket() {
+        // The promotion read the old bytes; a writer then replaced them
+        // on the backend and invalidated. The late insert must not cache.
         let t = MemTier::new(1024);
-        let victims = t
-            .write_back(&vp("/f"), 0, &[5u8; 100], Some(Vec::new()), true)
-            .expect("absorbed");
-        assert!(victims.is_empty());
-        assert_eq!(t.stats().dirty_bytes, 100);
-        assert_eq!(t.dirty_len(&vp("/f")), Some(100));
-        let dirty = t.snapshot_dirty();
-        assert_eq!(dirty.len(), 1);
-        t.mark_clean(&vp("/f"), dirty[0].version);
-        assert_eq!(t.stats().dirty_bytes, 0);
-        assert_eq!(t.stats().writeback_flushes, 1);
-        assert_eq!(t.dirty_len(&vp("/f")), None);
-        // The (now clean) copy still serves reads.
-        assert_eq!(t.object(&vp("/f")).unwrap().len(), 100);
-    }
-
-    #[test]
-    fn racing_dirty_write_survives_mark_clean() {
-        let t = MemTier::new(1024);
-        t.write_back(&vp("/f"), 0, &[1u8; 10], Some(Vec::new()), true)
-            .unwrap();
-        let snap = t.snapshot_dirty().remove(0);
-        // A second write lands before the flush completes.
-        t.write_back(&vp("/f"), 0, &[2u8; 10], None, true).unwrap();
-        t.mark_clean(&vp("/f"), snap.version);
-        assert_eq!(t.stats().dirty_bytes, 10, "newer write stays dirty");
-    }
-
-    #[test]
-    fn dirty_bound_surfaces_oldest_victims() {
-        let t = MemTier::new(4096).with_max_dirty_bytes(150);
-        t.write_back(&vp("/a"), 0, &[1u8; 100], Some(Vec::new()), true)
-            .unwrap();
-        let victims = t
-            .write_back(&vp("/b"), 0, &[2u8; 100], Some(Vec::new()), true)
-            .unwrap();
-        assert_eq!(victims.len(), 1);
-        assert_eq!(victims[0].path, vp("/a"));
+        let ticket = t.record_access(&vp("/f"), 100, true, 0).expect("hinted");
+        t.invalidate(&vp("/f"));
+        t.insert(&vp("/f"), obj(100, 1), false, ticket);
+        assert!(t.object(&vp("/f")).is_none());
+        assert_eq!(t.stats().bytes, 0);
+        // Only the newest ticket is honoured.
+        let old = t.record_access(&vp("/f"), 100, true, 0).expect("hinted");
+        let new = t.record_access(&vp("/f"), 100, true, 0).expect("hinted");
+        t.insert(&vp("/f"), obj(100, 1), false, old);
+        assert!(t.object(&vp("/f")).is_none());
+        t.insert(&vp("/f"), obj(100, 2), false, new);
+        assert_eq!(t.object(&vp("/f")).unwrap().as_slice(), &[2u8; 100]);
     }
 
     #[test]
     fn oversized_objects_are_refused() {
         let t = MemTier::new(100);
-        assert!(t.insert(&vp("/huge"), obj(200, 1), 200, true).is_empty());
-        assert_eq!(t.stats().bytes, 0);
-        assert!(t
-            .write_back(&vp("/huge"), 0, &[0u8; 200], Some(Vec::new()), true)
-            .is_none());
+        // Exactly budget / 4 is admitted whole; one byte more is not.
+        assert!(t.record_access(&vp("/big"), 26, true, 0).is_none());
+        promote(&t, "/max", obj(25, 1), true);
+        assert_eq!(t.object(&vp("/max")).unwrap().len(), 25);
+        // The insert enforces the cap too, whatever the ticket said.
+        let ticket = t.record_access(&vp("/huge"), 25, true, 0).expect("hinted");
+        t.insert(&vp("/huge"), obj(200, 1), true, ticket);
+        assert!(t.object(&vp("/huge")).is_none());
+        assert_eq!(t.stats().bytes, 25);
     }
 
     #[test]
@@ -1010,7 +706,7 @@ mod tests {
         assert!(!t.maybe_resident(&vp("/never")));
         assert!(t.read_at(&vp("/never"), 0, &mut [0u8; 4]).is_none());
         // Resident paths are always indexed.
-        t.insert(&vp("/f"), obj(100, 7), 100, false);
+        promote(&t, "/f", obj(100, 7), false);
         assert!(t.maybe_resident(&vp("/f")));
         assert!(t.object(&vp("/f")).is_some());
         // Invalidation does NOT remove from the index (append-only): a
@@ -1019,19 +715,6 @@ mod tests {
         assert!(t.maybe_resident(&vp("/f")));
         assert!(t.object(&vp("/f")).is_none());
         assert!(t.read_at(&vp("/f"), 0, &mut [0u8; 4]).is_none());
-    }
-
-    #[test]
-    fn presence_index_covers_write_back_dirty_reads() {
-        // A dirty write-back entry must be visible through the index —
-        // a false negative here would serve stale backend bytes.
-        let t = MemTier::with_shards(1024, 4);
-        t.write_back(&vp("/wb"), 0, &[9u8; 50], Some(Vec::new()), true)
-            .unwrap();
-        assert_eq!(t.dirty_len(&vp("/wb")), Some(50));
-        let mut buf = [0u8; 50];
-        assert_eq!(t.read_at(&vp("/wb"), 0, &mut buf), Some(50));
-        assert_eq!(buf, [9u8; 50]);
     }
 
     #[test]
@@ -1050,8 +733,7 @@ mod tests {
     #[test]
     fn stats_backfill_on_late_obs_registration() {
         let t = MemTier::new(1024);
-        t.record_access(&vp("/f"), 100, true, 0);
-        t.insert(&vp("/f"), obj(100, 1), 100, false);
+        promote(&t, "/f", obj(100, 1), false);
         let obs = Obs::new();
         t.register_obs(&obs);
         let snap = obs.snapshot();

@@ -4,12 +4,10 @@
 //! every outcome is visible on the monitoring surfaces.
 
 use nest::core::config::NestConfig;
-use nest::core::dispatcher::Dispatcher;
+use nest::core::dispatcher::{ChannelSink, Dispatcher};
 use nest::obs::Obs;
 use nest::proto::request::{NestRequest, NestResponse};
-use nest::storage::{
-    AclTable, LotId, MemBackend, Principal, ReclaimPolicy, StorageManager, VPath, WritePolicy,
-};
+use nest::storage::{AclTable, MemBackend, Principal, ReclaimPolicy, StorageManager, VPath};
 use nest::transfer::fault::{FaultBudget, FaultingSource, RetryPolicy};
 use nest::transfer::flow::PatternSource;
 use proptest::prelude::*;
@@ -302,12 +300,12 @@ proptest! {
     }
 }
 
-/// End-to-end through the dispatcher: a failed PUT into a write-back lot
-/// releases the lot charge AND the dirty tier bytes it had absorbed —
-/// while an unrelated write-back resident keeps its deferred bytes and
-/// still flushes cleanly afterwards.
+/// End-to-end through the dispatcher on a tiered appliance: a failed
+/// overwrite of a promoted object releases its lot charge and leaves no
+/// tier bytes for its path, while an unrelated promoted resident keeps
+/// its bytes and still serves.
 #[test]
-fn write_back_abort_releases_lot_charge_and_tier_bytes() {
+fn tiered_failed_put_releases_lot_charge_and_tier_bytes() {
     let obs = Obs::new();
     let config = NestConfig::builder("tier-fault-e2e")
         .obs(Arc::clone(&obs))
@@ -325,34 +323,39 @@ fn write_back_abort_releases_lot_charge_and_tier_bytes() {
             duration: 3600,
         },
     );
-    let NestResponse::OkLot(id) = resp else {
-        panic!("{:?}", resp)
+    assert!(matches!(resp, NestResponse::OkLot(_)), "{:?}", resp);
+    let get = |path: &str| -> Vec<u8> {
+        let (vpath, size, cached) = d.admit_get(&who, "chirp", path).unwrap();
+        let (sink, rx) = ChannelSink::new();
+        d.transfer_get(&who, "chirp", &vpath, size, cached, Box::new(sink))
+            .unwrap();
+        rx.recv().unwrap()
     };
-    d.storage()
-        .set_lot_write_policy(LotId(id), WritePolicy::WriteBack);
 
-    // A healthy write-back PUT first: its bytes sit dirty in the tier.
+    // Two healthy objects, each promoted by a second GET in the window.
     let kept = 10_000u64;
-    let vkept = d.admit_put(&who, "chirp", "/kept", Some(kept)).unwrap();
-    d.transfer_put(
-        &who,
-        "chirp",
-        &vkept,
-        Box::new(PatternSource::new(kept)),
-        Some(kept),
-    )
-    .unwrap();
-    assert_eq!(
-        d.storage().tier_stats().dirty_bytes,
-        kept,
-        "write-back did not engage end-to-end"
-    );
-
-    // The doomed PUT absorbs 64 KiB into the tier before the source dies.
-    let size = 200_000u64;
-    let vpath = d
-        .admit_put(&who, "chirp", "/doomed-wb", Some(size))
+    let pattern: Vec<u8> = (0..kept).map(|i| i as u8).collect();
+    for (path, len) in [("/kept", kept), ("/doomed", 20_000)] {
+        let vpath = d.admit_put(&who, "chirp", path, Some(len)).unwrap();
+        d.transfer_put(
+            &who,
+            "chirp",
+            &vpath,
+            Box::new(PatternSource::new(len)),
+            Some(len),
+        )
         .unwrap();
+        get(path);
+        get(path);
+        assert!(
+            d.storage().tier_object(&vpath).is_some(),
+            "{path} not promoted"
+        );
+    }
+
+    // The overwrite of /doomed dies after 64 KiB.
+    let size = 200_000u64;
+    let vpath = d.admit_put(&who, "chirp", "/doomed", Some(size)).unwrap();
     assert_eq!(d.storage().committed_bytes(), kept + size);
     let src = FaultingSource::new(
         PatternSource::new(size),
@@ -365,36 +368,25 @@ fn write_back_abort_releases_lot_charge_and_tier_bytes() {
         .expect_err("fault must surface");
     assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
 
-    // Abort released the lot charge AND every tier byte of the doomed
-    // object — dirty or otherwise — while the healthy resident is intact.
+    // Abort released the lot charge and every tier byte of /doomed …
     assert_eq!(d.storage().committed_bytes(), kept, "lot charge leaked");
-    let stats = d.storage().tier_stats();
-    assert_eq!(stats.dirty_bytes, kept, "doomed dirty bytes leaked");
     assert!(
         d.storage().tier_object(&vpath).is_none(),
         "aborted object still tier-resident"
     );
+    assert_eq!(d.storage().tier_stats().bytes, kept);
     let stat = d.execute_sync(
         &who,
         "chirp",
         &NestRequest::Stat {
-            path: "/doomed-wb".into(),
+            path: "/doomed".into(),
         },
     );
     assert!(matches!(stat, NestResponse::Error(_)), "{:?}", stat);
 
-    // The survivor drains to the backend on flush, untouched by the abort.
-    assert_eq!(d.flush_writeback(), 1);
-    assert_eq!(d.storage().tier_stats().dirty_bytes, 0);
-    match d.execute_sync(
-        &who,
-        "chirp",
-        &NestRequest::Stat {
-            path: "/kept".into(),
-        },
-    ) {
-        NestResponse::OkSize(n) => assert_eq!(n, kept),
-        other => panic!("{:?}", other),
-    }
+    // … while the survivor still serves its bytes from the tier.
+    let hits = d.storage().tier_stats().hits;
+    assert_eq!(get("/kept"), pattern);
+    assert_eq!(d.storage().tier_stats().hits, hits + 1);
     d.shutdown();
 }
