@@ -160,10 +160,9 @@ pub struct NestConfig {
     /// receives the dispatcher and returns the front to serve.
     pub extra_fronts: Vec<ExtraFront>,
     /// Stripe count for the appliance's sharded tables (lot table, quota
-    /// table, handle cache, mem-tier presence index, fh table, session
-    /// live registry, transfer stats). `1` selects the single-mutex
-    /// ablation — the pre-sharding serialization points, for the scale
-    /// bench baseline. Default: 8.
+    /// table, handle cache, fh table, session live registry, transfer
+    /// stats). `1` selects the single-mutex ablation — the pre-sharding
+    /// serialization points, for the scale bench baseline. Default: 8.
     pub shards: usize,
 }
 

@@ -539,11 +539,12 @@ impl Dispatcher {
         Ok(moved)
     }
 
-    /// Builds a reply sink over a connected socket for a GET body:
-    /// `head` (the rendered protocol header) is coalesced with the first
-    /// body chunk into one `writev`, and the socket's descriptor is
-    /// exposed so the remainder can go through `sendfile` when the flow's
-    /// source can lend a raw file window.
+    /// Builds a reply sink over a connected socket for a GET body — the
+    /// one socket sink every stream-mode front uses: `head` (the rendered
+    /// protocol header, empty when the dialect has none) is coalesced
+    /// with the first body chunk into one `writev`, and the socket's
+    /// descriptor is exposed so the remainder can go through `sendfile`
+    /// when the flow's source can lend a raw file window.
     pub fn socket_sink(&self, stream: std::net::TcpStream, head: Vec<u8>) -> Box<dyn DataSink> {
         let counter = self
             .obs
@@ -566,7 +567,9 @@ impl Dispatcher {
     }
 
     /// NFS block read: a single block request is itself a scheduled flow,
-    /// which is how cross-protocol policies see NFS traffic.
+    /// which is how cross-protocol policies see NFS traffic. Admitted by
+    /// `begin_read`, so it never counts a memory-tier access or promotes:
+    /// the backend serves the block.
     pub fn read_block(
         &self,
         who: &Principal,
@@ -577,7 +580,7 @@ impl Dispatcher {
     ) -> Result<Vec<u8>, NestError> {
         // Access check (cheap; also feeds lot LRU).
         self.storage
-            .begin_get(who, protocol, vpath)
+            .begin_read(who, protocol, vpath)
             .map_err(|e| NestError::from(&e))?;
         let meta = self.stamp_failure_policy(FlowMeta::new(
             self.transfers.next_flow_id(),
@@ -1026,28 +1029,6 @@ impl<R: Read + Send> DataSource for StreamSource<R> {
     }
 }
 
-/// Writes chunks to a stream (socket GET bodies).
-pub struct StreamSink<W: Write + Send> {
-    inner: W,
-}
-
-impl<W: Write + Send> StreamSink<W> {
-    /// Wraps a writer.
-    pub fn new(inner: W) -> Self {
-        Self { inner }
-    }
-}
-
-impl<W: Write + Send> DataSink for StreamSink<W> {
-    fn write_chunk(&mut self, data: &[u8]) -> io::Result<()> {
-        self.inner.write_all(data)
-    }
-
-    fn finish(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
 /// A reply-writing sink for socket GET bodies: carries the rendered
 /// protocol header and coalesces it with the first body chunk into one
 /// `writev`, then exposes the socket's raw descriptor so the rest of the
@@ -1055,7 +1036,9 @@ impl<W: Write + Send> DataSink for StreamSink<W> {
 ///
 /// The descriptor is withheld while the header is pending, so the first
 /// chunk always travels the pooled path — the flow probes again on the
-/// next step and upgrades without counting a fallback.
+/// next step and upgrades without counting a fallback. An empty header
+/// (an FTP data connection) is no header: nothing is coalesced and the
+/// descriptor is available from the first chunk.
 pub struct SocketSink<W: Write + Send> {
     writer: W,
     #[cfg(unix)]
@@ -1071,7 +1054,7 @@ impl<W: Write + Send> SocketSink<W> {
             writer,
             #[cfg(unix)]
             fd: None,
-            pending_head: Some(head),
+            pending_head: (!head.is_empty()).then_some(head),
             coalesced: None,
         }
     }
@@ -1325,6 +1308,70 @@ mod tests {
         assert_eq!(block, vec![7u8; 8192]);
         let tail = d.read_block(&who, "nfs", &vpath, 8192, 8192).unwrap();
         assert_eq!(tail, vec![8u8; 100]);
+        d.shutdown();
+    }
+
+    /// NFS block reads never reach the memory tier: however often the
+    /// blocks are read and rewritten, no access is counted and nothing
+    /// promotes, even with the cache model predicting the object hot.
+    /// Whole-object GETs still promote, and then hit.
+    #[test]
+    fn block_reads_bypass_the_tier_and_gets_still_promote() {
+        let config = NestConfig::builder("test")
+            .ram_tier_bytes(1 << 20)
+            .build()
+            .unwrap();
+        let d = Dispatcher::new(&config).unwrap();
+        let who = alice();
+        d.execute_sync(
+            &who,
+            "chirp",
+            &NestRequest::LotCreate {
+                capacity: 1 << 20,
+                duration: 3600,
+            },
+        );
+        const BLOCK: usize = 8192;
+        let mut current = vec![1u8; 8 * BLOCK];
+        let size = current.len() as u64;
+        let vpath = d.admit_put(&who, "chirp", "/obj", Some(size)).unwrap();
+        d.transfer_put(
+            &who,
+            "chirp",
+            &vpath,
+            Box::new(io::Cursor::new(current.clone())),
+            Some(size),
+        )
+        .unwrap();
+        for round in 0..16u8 {
+            for (i, want) in current.chunks(BLOCK).enumerate() {
+                let got = d
+                    .read_block(&who, "nfs", &vpath, (i * BLOCK) as u64, BLOCK)
+                    .unwrap();
+                assert_eq!(got, want, "round {round}, block {i}");
+            }
+            let off = usize::from(round) % 8 * BLOCK;
+            let block = vec![round + 2; BLOCK];
+            d.write_block(&who, "nfs", &vpath, off as u64, block.clone())
+                .unwrap();
+            current[off..off + BLOCK].copy_from_slice(&block);
+        }
+        let s = d.storage().tier_stats();
+        assert_eq!((s.misses, s.promotions), (0, 0), "{s:?}");
+
+        let get = || {
+            let (vpath, size, cached) = d.admit_get(&who, "chirp", "/obj").unwrap();
+            let (sink, rx) = ChannelSink::new();
+            d.transfer_get(&who, "chirp", &vpath, size, cached, Box::new(sink))
+                .unwrap();
+            rx.recv().unwrap()
+        };
+        assert_eq!(get(), current);
+        assert_eq!(get(), current);
+        assert_eq!(d.storage().tier_stats().promotions, 1);
+        let hits = d.storage().tier_stats().hits;
+        assert_eq!(get(), current);
+        assert_eq!(d.storage().tier_stats().hits, hits + 1);
         d.shutdown();
     }
 

@@ -1,6 +1,6 @@
 //! The Chirp protocol handler.
 
-use crate::dispatcher::{Dispatcher, LimitedStreamSource, StreamSink};
+use crate::dispatcher::{Dispatcher, LimitedStreamSource};
 use crate::session::{Await, SessionCtx};
 use nest_proto::chirp::{format_response, parse_command, status_line, ChirpCommand};
 use nest_proto::request::{NestError, NestRequest, NestResponse};
@@ -100,16 +100,16 @@ fn handle_get(
     match dispatcher.admit_get(who, PROTOCOL, path) {
         Err(e) => write_line(stream, &status_line(&NestResponse::Error(e))),
         Ok((vpath, size, cached)) => {
-            write_line(stream, &format!("0 {}", size))?;
-            // The transfer manager moves the bytes; the handler "stops
-            // listening on the client channel" until it finishes.
-            let sink = Box::new(StreamSink::new(stream.try_clone()?));
-            match dispatcher.transfer_get(who, PROTOCOL, &vpath, size, cached, sink) {
-                Ok(_) => Ok(()),
-                // Mid-stream failure: the byte count promise is broken, so
-                // the only safe option is closing the connection.
-                Err(e) => Err(e),
-            }
+            // The `0 <size>` line leaves with the first body chunk in one
+            // writev. The transfer manager moves the bytes; the handler
+            // "stops listening on the client channel" until it finishes.
+            // A mid-stream failure breaks the byte-count promise, so the
+            // error closes the connection.
+            let head = format!("0 {size}\r\n").into_bytes();
+            let sink = dispatcher.socket_sink(stream.try_clone()?, head);
+            dispatcher
+                .transfer_get(who, PROTOCOL, &vpath, size, cached, sink)
+                .map(|_| ())
         }
     }
 }

@@ -5,7 +5,7 @@
 //! mode, and parallel data streams. The plain FTP listener allows only
 //! anonymous stream-mode sessions, matching the paper's configuration.
 
-use crate::dispatcher::{Dispatcher, StreamSink, StreamSource};
+use crate::dispatcher::{Dispatcher, StreamSource};
 use crate::session::{Await, SessionCtx};
 use nest_proto::ftp::{format_pasv_reply, parse_command, FtpCommand, FtpReply};
 use nest_proto::gridftp::modee::{recv_striped, OffsetSink, DESC_EOD, DESC_EOF};
@@ -418,7 +418,8 @@ fn handle_retr(
             let sink: Box<dyn DataSink> = if s.mode_e {
                 Box::new(ModeESink::new(streams))
             } else {
-                Box::new(StreamSink::new(streams.into_iter().next().unwrap()))
+                // Stream mode has no header on the data connection.
+                dispatcher.socket_sink(streams.into_iter().next().unwrap(), Vec::new())
             };
             match dispatcher.transfer_get(&s.who, s.protocol(), &vpath, size, cached, sink) {
                 Ok(_) => reply(stream, 226, "Transfer complete"),

@@ -3,12 +3,15 @@
 
 use nest_core::config::NestConfig;
 use nest_core::server::NestServer;
+use nest_obs::MetricsSnapshot;
 use nest_proto::chirp::ChirpClient;
 use nest_proto::ftp::FtpClient;
 use nest_proto::gridftp::GridFtpClient;
 use nest_proto::gsi::{GridMap, SimCa};
 use nest_proto::http::HttpClient;
 use nest_proto::nfs::{MountClient, NfsClient};
+use nest_transfer::manager::ModelSelection;
+use nest_transfer::ModelKind;
 
 fn test_ca() -> SimCa {
     SimCa::new("NeST-Test-CA", 0x5EED)
@@ -398,21 +401,61 @@ fn localfs_backed_appliance_round_trips() {
         .unwrap();
 
     let body: Vec<u8> = (0..123_457u32).map(|i| (i % 251) as u8).collect();
+    // Three 256 KiB spans plus a ragged tail.
+    let big: Vec<u8> = (0..3 * 256 * 1024 + 7u32)
+        .map(|i| (i % 253) as u8)
+        .collect();
     let mut chirp = ChirpClient::connect(server.chirp_addr.unwrap()).unwrap();
     chirp.mkdir("/persist").unwrap();
     chirp.put_bytes("/persist/data.bin", &body).unwrap();
+    chirp.put_bytes("/persist/empty.bin", &[]).unwrap();
+    chirp.put_bytes("/persist/big.bin", &big).unwrap();
     // The bytes are really on the host filesystem.
     let on_disk = std::fs::read(dir.join("persist/data.bin")).unwrap();
     assert_eq!(on_disk, body);
     server.shutdown();
 
     // A new appliance over the same root sees the data (manageability:
-    // the appliance owns no hidden state beyond the directory).
+    // the appliance owns no hidden state beyond the directory). The
+    // events model is pinned so every GET is eligible for sendfile.
     let mut config = NestConfig::ephemeral("localfs-2");
     config.backend = nest_core::config::BackendKind::LocalFs(dir.clone());
+    config.model = ModelSelection::Fixed(ModelKind::Events);
     let server2 = NestServer::start(config).unwrap();
     let mut http = HttpClient::connect(server2.http_addr.unwrap()).unwrap();
     assert_eq!(http.get_bytes("/persist/data.bin").unwrap(), body);
+
+    // Chirp and FTP stream mode reply through the same socket sink as
+    // HTTP: exact bytes at both ends of the size range, and the
+    // non-empty body leaves through sendfile.
+    let mut chirp = ChirpClient::connect(server2.chirp_addr.unwrap()).unwrap();
+    let mut ftp = FtpClient::connect(server2.ftp_addr.unwrap()).unwrap();
+    ftp.login("anonymous", "test@").unwrap();
+    ftp.type_binary().unwrap();
+    assert!(chirp.get_bytes("/persist/empty.bin").unwrap().is_empty());
+    assert!(ftp.retr_bytes("/persist/empty.bin").unwrap().is_empty());
+    let mut sendfile_flows = || {
+        let text = String::from_utf8(http.get_bytes("/nest/stats").unwrap()).unwrap();
+        MetricsSnapshot::parse_text(&text)
+            .get("transfer.zerocopy.sendfile_flows")
+            .copied()
+            .unwrap_or(0.0)
+    };
+    for front in ["chirp", "ftp"] {
+        let before = sendfile_flows();
+        let got = if front == "chirp" {
+            let got = chirp.get_bytes("/persist/big.bin").unwrap();
+            // The next reply waits for the GET's flow to complete, so its
+            // counters are in the snapshot read below.
+            chirp.stat("/persist/big.bin").unwrap();
+            got
+        } else {
+            // The 226 reply already waits for the flow.
+            ftp.retr_bytes("/persist/big.bin").unwrap()
+        };
+        assert!(got == big, "{front} GET diverged");
+        assert!(sendfile_flows() > before, "{front} GET never used sendfile");
+    }
     server2.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

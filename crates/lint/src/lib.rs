@@ -23,10 +23,11 @@
 //! | `conn-spawn` | `thread::spawn`/`thread::Builder` in files that handle `TcpListener`s (connection lifecycles belong to `nest-core::session`) |
 //! | `front-registry` | `SessionLayer::register` calls or raw `SessionHandler` closures outside `core/src/front.rs` (protocol fronts register through the `FrontRegistry`) |
 //! | `raw-socket-write` | bare `.write(` on reply streams in front/handler reply paths (short writes truncate replies; use `write_all` or the vectored helpers) |
-//! | `tier-bypass` | direct raw-backend reads (`.backend().read_at` / `.backend().stat`) or `LocalFsBackend` construction in appliance serving paths — bypassing `StorageManager` skips the memory tier and the handle cache |
+//! | `tier-bypass` | direct raw-backend reads (`.backend().read_at` / `.backend().stat`) or `LocalFsBackend` construction in appliance serving paths — bypassing `StorageManager` skips admission (the ACL check and lot LRU touch) and read instrumentation, and a second backend brings a second handle cache blind to the appliance's invalidations |
 //! | `unsafe-safety-comment` | `unsafe` blocks/fns/impls without a `// SAFETY:` comment immediately above (or trailing on the same line) stating the obligation being discharged |
 //! | `atomic-ordering` | bare `Ordering::Relaxed` outside the stats module (`crates/obs/src/metrics.rs`) — every relaxed access elsewhere carries a reasoned `nestlint: allow(atomic-ordering)` explaining why no synchronization rides on it |
 //! | `sharded-bypass` | direct shard-cell access (`.lock_idx(` / `.shard_cell(`) in a file that does not itself declare a `ShardedMutex<` — the wrapper module owns the ascending-index discipline; outside callers go through its API |
+//! | `lock-rank` | a lock class literal (`Mutex::named` / `RwLock::named` / `Condvar::named` / `ShardedMutex::new`) missing from DESIGN.md's rank table, or a rank-table class no code constructs (`model.*` / `test.*` harness classes are exempt) |
 //!
 //! ## Suppression
 //!
@@ -92,6 +93,7 @@ pub const RULES: &[&str] = &[
     "unsafe-safety-comment",
     "atomic-ordering",
     "sharded-bypass",
+    "lock-rank",
 ];
 
 /// Whether `path` (workspace-relative, `/`-separated) is in scope.
@@ -158,24 +160,25 @@ impl MetricPattern {
     }
 }
 
+/// Brace expansion of one backtick span (multiple groups, no nesting).
+fn expand_braces(s: &str) -> Vec<String> {
+    let (Some(open), Some(close)) = (s.find('{'), s.find('}')) else {
+        return vec![s.to_owned()];
+    };
+    if close < open {
+        return vec![s.to_owned()];
+    }
+    let mut out = Vec::new();
+    for alt in s[open + 1..close].split(',') {
+        let candidate = format!("{}{}{}", &s[..open], alt.trim(), &s[close + 1..]);
+        out.extend(expand_braces(&candidate));
+    }
+    out
+}
+
 /// Expands one backtick span from DESIGN.md into concrete patterns:
 /// `{a,b}` groups multiply out, `<x>` becomes a wildcard segment.
 fn expand_span(span: &str) -> Vec<MetricPattern> {
-    // Brace expansion first (handles multiple groups, no nesting).
-    fn expand_braces(s: &str) -> Vec<String> {
-        let (Some(open), Some(close)) = (s.find('{'), s.find('}')) else {
-            return vec![s.to_owned()];
-        };
-        if close < open {
-            return vec![s.to_owned()];
-        }
-        let mut out = Vec::new();
-        for alt in s[open + 1..close].split(',') {
-            let candidate = format!("{}{}{}", &s[..open], alt.trim(), &s[close + 1..]);
-            out.extend(expand_braces(&candidate));
-        }
-        out
-    }
     expand_braces(span)
         .into_iter()
         .map(|s| MetricPattern {
@@ -212,9 +215,68 @@ fn documented_metrics(design: &str) -> Vec<MetricPattern> {
     out
 }
 
+/// The lock classes in DESIGN.md's rank table (the table headed
+/// `| Rank | Class |`), brace-expanded, each with its row's 1-based line.
+fn ranked_lock_classes(design: &str) -> Vec<(usize, String)> {
+    let lines: Vec<&str> = design.lines().collect();
+    let Some(head) = lines.iter().position(|l| l.starts_with("| Rank | Class |")) else {
+        return Vec::new();
+    };
+    let mut out = Vec::new();
+    // Rows start after the header's `|---|` separator.
+    for (idx, row) in lines.iter().enumerate().skip(head + 2) {
+        if !row.starts_with('|') {
+            break;
+        }
+        let class_cell = row.split('|').nth(2).unwrap_or("");
+        for span in class_cell.split('`').skip(1).step_by(2) {
+            out.extend(expand_braces(span).into_iter().map(|c| (idx + 1, c)));
+        }
+    }
+    out
+}
+
+/// Whether rank-table class `name` (wildcards allowed) covers `class`.
+fn covers(name: &str, class: &str) -> bool {
+    expand_span(name).iter().any(|p| p.matches(class))
+}
+
+/// Lock constructors whose first argument is the lock's class name.
+const LOCK_CTORS: [&str; 4] = [
+    "Mutex::named(",
+    "RwLock::named(",
+    "Condvar::named(",
+    "ShardedMutex::new(",
+];
+
+/// The class literal a lock constructor passes on `line`, or on the line
+/// after `prev` when `prev` ends by opening the constructor's arguments.
+fn lock_class_literal(line: &str, prev: Option<&str>) -> Option<String> {
+    let opened = |l: &str| {
+        LOCK_CTORS
+            .iter()
+            .find_map(|c| l.find(c).map(|p| l[p + c.len()..].trim().to_owned()))
+    };
+    let arg = match opened(line) {
+        Some(rest) if !rest.is_empty() => rest,
+        _ if prev.and_then(opened).as_deref() == Some("") => line.to_owned(),
+        _ => return None,
+    };
+    let arg = arg.strip_prefix('"')?;
+    arg.find('"').map(|end| arg[..end].to_owned())
+}
+
 /// Scans one in-scope source file. `path` must be workspace-relative with
-/// `/` separators; `design_patterns` comes from [`documented_metrics`].
-fn scan_file(path: &str, content: &str, design_patterns: &[MetricPattern]) -> Vec<Violation> {
+/// `/` separators; `design_patterns` comes from [`documented_metrics`] and
+/// `ranked` from [`ranked_lock_classes`]. Production lock classes the file
+/// constructs are appended to `lock_classes`.
+fn scan_file(
+    path: &str,
+    content: &str,
+    design_patterns: &[MetricPattern],
+    ranked: &[(usize, String)],
+    lock_classes: &mut Vec<String>,
+) -> Vec<Violation> {
     let mut out = Vec::new();
     let is_transfer = path.starts_with("crates/transfer/src");
     let is_backend = path == "crates/storage/src/backend.rs";
@@ -243,11 +305,12 @@ fn scan_file(path: &str, content: &str, design_patterns: &[MetricPattern]) -> Ve
         path.starts_with("crates/core/src/handlers/") || path.starts_with("crates/s3front/src");
     // tier-bypass applies to appliance serving paths: the core (fronts,
     // dispatcher, handlers), plugin fronts, and the benches that drive the
-    // appliance. Reads there go through `StorageManager::read_chunk`,
-    // which consults the §15 memory tier and the FD handle cache; a raw
-    // `.backend().read_at` silently skips both. `crates/jbos` is exempt by
-    // design: the "just a bunch of servers" baseline deliberately lacks
-    // the appliance architecture — that contrast *is* the experiment.
+    // appliance. Reads there are admitted and timed by `StorageManager`;
+    // a raw `.backend().read_at` skips both, and a second `LocalFsBackend`
+    // has a handle cache blind to the appliance's invalidations.
+    // `crates/jbos` is exempt by design: the "just a bunch of servers"
+    // baseline lacks the appliance architecture — that contrast *is* the
+    // experiment.
     let is_serving_path = path.starts_with("crates/core/src")
         || path.starts_with("crates/s3front/src")
         || path.starts_with("crates/bench/src");
@@ -382,7 +445,7 @@ fn scan_file(path: &str, content: &str, design_patterns: &[MetricPattern]) -> Ve
         }
 
         // tier-bypass: serving paths read through the storage manager,
-        // never the raw backend (see §15 in DESIGN.md).
+        // never the raw backend (see §11 in DESIGN.md).
         if is_serving_path {
             for pat in [".backend().read_at(", ".backend().stat("] {
                 if line.contains(pat) {
@@ -424,6 +487,17 @@ fn scan_file(path: &str, content: &str, design_patterns: &[MetricPattern]) -> Ve
             report("atomic-ordering");
         }
 
+        // lock-rank: every production lock class has a rank-table row;
+        // harness classes (`model.*`, `test.*`) need none.
+        if let Some(class) = lock_class_literal(line, prev) {
+            if !class.starts_with("model.") && !class.starts_with("test.") {
+                if !ranked.iter().any(|(_, name)| covers(name, &class)) {
+                    report("lock-rank");
+                }
+                lock_classes.push(class);
+            }
+        }
+
         // undocumented-metric: registered names must be in DESIGN.md.
         for name in metric_literals(line) {
             if !design_patterns.iter().any(|p| p.matches(&name))
@@ -449,13 +523,38 @@ fn scan_file(path: &str, content: &str, design_patterns: &[MetricPattern]) -> Ve
 }
 
 /// Scans arbitrary source text under a synthetic workspace-relative path
-/// against a DESIGN.md body. Exposed for the rule tests; out-of-scope
-/// paths return no violations.
+/// against a DESIGN.md body, as a one-file workspace. Exposed for the
+/// rule tests; out-of-scope paths return no violations.
 pub fn scan_source(path: &str, content: &str, design: &str) -> Vec<Violation> {
-    if !in_scope(path) {
-        return Vec::new();
+    scan_sources(&[(path, content)], design)
+}
+
+/// Scans a set of sources — `(workspace-relative path, content)` pairs,
+/// out-of-scope ones ignored — as one workspace: every per-file rule, plus
+/// the workspace-wide half of `lock-rank` (each rank-table class is
+/// constructed somewhere in production code).
+pub fn scan_sources(files: &[(impl AsRef<str>, impl AsRef<str>)], design: &str) -> Vec<Violation> {
+    let patterns = documented_metrics(design);
+    let ranked = ranked_lock_classes(design);
+    let mut out = Vec::new();
+    let mut classes = Vec::new();
+    for (path, content) in files {
+        let (path, content) = (path.as_ref(), content.as_ref());
+        if in_scope(path) {
+            out.extend(scan_file(path, content, &patterns, &ranked, &mut classes));
+        }
     }
-    scan_file(path, content, &documented_metrics(design))
+    for (line, class) in ranked {
+        if !classes.iter().any(|c| covers(&class, c)) {
+            out.push(Violation {
+                rule: "lock-rank",
+                path: PathBuf::from("DESIGN.md"),
+                line,
+                text: format!("rank-table class {class:?} is constructed nowhere"),
+            });
+        }
+    }
+    out
 }
 
 fn walk(dir: &Path, files: &mut Vec<PathBuf>) -> io::Result<()> {
@@ -472,10 +571,9 @@ fn walk(dir: &Path, files: &mut Vec<PathBuf>) -> io::Result<()> {
 }
 
 /// Scans the whole workspace rooted at `root`. Reads `DESIGN.md` for the
-/// metrics table; missing files surface as `io::Error`.
+/// metrics and rank tables; missing files surface as `io::Error`.
 pub fn scan_workspace(root: &Path) -> io::Result<Vec<Violation>> {
     let design = std::fs::read_to_string(root.join("DESIGN.md"))?;
-    let patterns = documented_metrics(&design);
     let mut files = Vec::new();
     for top in ["crates", "src"] {
         let dir = root.join(top);
@@ -484,7 +582,7 @@ pub fn scan_workspace(root: &Path) -> io::Result<Vec<Violation>> {
         }
     }
     files.sort();
-    let mut out = Vec::new();
+    let mut sources = Vec::new();
     for file in files {
         let rel = file
             .strip_prefix(root)
@@ -493,13 +591,11 @@ pub fn scan_workspace(root: &Path) -> io::Result<Vec<Violation>> {
             .map(|c| c.as_os_str().to_string_lossy())
             .collect::<Vec<_>>()
             .join("/");
-        if !in_scope(&rel) {
-            continue;
+        if in_scope(&rel) {
+            sources.push((rel, std::fs::read_to_string(&file)?));
         }
-        let content = std::fs::read_to_string(&file)?;
-        out.extend(scan_file(&rel, &content, &patterns));
     }
-    Ok(out)
+    Ok(scan_sources(&sources, &design))
 }
 
 #[cfg(test)]
@@ -533,10 +629,10 @@ mod tests {
         let v = scan_source("crates/storage/src/x.rs", src, DESIGN);
         // One per line (first match reports; both lines here are one line).
         assert_eq!(rules_of(&v), vec!["unnamed-lock"]);
-        let named = "fn f() { let m = Mutex::named(\"a.b\", 1, 0); }\n";
+        let named = "fn f() { let m = Mutex::named(\"test.a\", 1, 0); }\n";
         assert!(scan_source("crates/storage/src/x.rs", named, DESIGN).is_empty());
         // ShardedMutex::new carries a class name and rank: named.
-        let striped = "fn f() { let s = ShardedMutex::new(\"a.b\", 1, 4, |_| 0); }\n";
+        let striped = "fn f() { let s = ShardedMutex::new(\"test.a\", 1, 4, |_| 0); }\n";
         assert!(scan_source("crates/storage/src/x.rs", striped, DESIGN).is_empty());
     }
 
@@ -758,6 +854,59 @@ mod tests {
         let allowed = "// nestlint: allow(sharded-bypass): single-cell probe, no nesting\n\
                        fn f(t: &T) { let g = t.cells.lock_idx(0); }\n";
         assert!(scan_source("crates/core/src/x.rs", allowed, DESIGN).is_empty());
+    }
+
+    #[test]
+    fn seeded_lock_rank_is_caught_both_ways() {
+        let ranks = "## Locks\n\
+                     | Rank | Class | Where |\n\
+                     |---|---|---|\n\
+                     | 300 | `storage.lot` | `storage/src/lot.rs` |\n\
+                     | 320/321 | `storage.acl.{acls,groups}` | `storage/src/acl.rs` |\n\
+                     \n\
+                     | Other | Table |\n\
+                     |---|---|\n\
+                     | 9 | `not.a.rank` |\n";
+        // Every constructor spelling, including a class literal on the
+        // line after the call opens. Unranked classes are caught, and so
+        // is a row whose only constructor sits in a test module.
+        let src = "fn f() {\n\
+                   let a = Mutex::named(\"storage.lot\", 300, 0);\n\
+                   let b = RwLock::named(\"storage.acl.acls\", 320, 0);\n\
+                   let c = ShardedMutex::new(\n\
+                   \"storage.ghost\",\n\
+                   1, 4, |_| 0);\n\
+                   let d = Condvar::named(\"not.a.rank\", 2);\n\
+                   }\n\
+                   #[cfg(test)]\n\
+                   mod tests { fn g() { RwLock::named(\"storage.acl.groups\", 321, 0); } }\n";
+        let v = scan_source("crates/storage/src/x.rs", src, ranks);
+        assert_eq!(rules_of(&v), vec!["lock-rank"; 3]);
+        assert_eq!(v[0].line, 5);
+        assert!(v[0].text.contains("storage.ghost"));
+        assert!(v[1].text.contains("not.a.rank"));
+        assert_eq!((v[2].path.to_str(), v[2].line), (Some("DESIGN.md"), 5));
+        assert!(v[2].text.contains("storage.acl.groups"));
+        // The workspace is one set: a class constructed in any file
+        // covers its row.
+        let files = [
+            (
+                "crates/storage/src/lot.rs",
+                "fn f() { Mutex::named(\"storage.lot\", 300, 0); }\n",
+            ),
+            (
+                "crates/storage/src/acl.rs",
+                "fn f() { RwLock::named(\"storage.acl.acls\", 320, 0); }\n\
+                 fn g() { RwLock::named(\"storage.acl.groups\", 321, 0); }\n",
+            ),
+        ];
+        assert!(scan_sources(&files, ranks).is_empty());
+        // Harness classes need no row, and a reasoned allow suppresses as
+        // for every other rule.
+        let exempt = "fn f() { let m = Mutex::named(\"model.backend\", 901, 0); }\n\
+                      // nestlint: allow(lock-rank): scratch lock in a migration shim\n\
+                      fn g() { let m = Mutex::named(\"scratch.x\", 1, 0); }\n";
+        assert!(scan_source("crates/storage/src/x.rs", exempt, DESIGN).is_empty());
     }
 
     #[test]

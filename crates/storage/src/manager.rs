@@ -7,7 +7,8 @@
 //!
 //! Every operation here is synchronous and thread-safe; the dispatcher
 //! serializes macro-requests, and data transfers are only *admitted* here
-//! (`begin_put`/`begin_get`) before being handed to the transfer manager.
+//! (`begin_put`/`begin_get`/`begin_read`) before being handed to the
+//! transfer manager.
 
 use crate::acl::{request_ad, AccessRight, AclEntry, AclTable, Principal};
 use crate::backend::{FileKind, FileStat, StorageBackend};
@@ -197,8 +198,8 @@ pub struct StorageManager {
     enforce_lots: bool,
     /// Kept so persisted lot state can be restored with the same policy.
     reclaim_policy: ReclaimPolicy,
-    /// Stripe count for the sharded tables (lots, tier index); kept so
-    /// restores and the tier rebuild reuse the same configuration.
+    /// Stripe count for the lot table; kept so restores reuse the same
+    /// configuration.
     shards: usize,
     /// Instrument handles; `None` runs fully uninstrumented.
     metrics: Option<StorageMetrics>,
@@ -246,7 +247,7 @@ impl StorageManager {
     /// disables it entirely; that is the byte-identical ablation
     /// baseline).
     pub fn with_ram_tier(mut self, bytes: u64) -> Self {
-        self.tier = MemTier::with_shards(bytes, self.shards);
+        self.tier = MemTier::new(bytes);
         self
     }
 
@@ -257,9 +258,9 @@ impl StorageManager {
         self
     }
 
-    /// Sets the stripe count for the sharded tables (`1` = the
-    /// single-mutex ablation). Call before [`Self::with_lot_state`] and
-    /// [`Self::with_ram_tier`]; it rebuilds the (still empty) lot table.
+    /// Sets the stripe count for the lot table (`1` = the single-mutex
+    /// ablation). Call before [`Self::with_lot_state`]; it rebuilds the
+    /// (still empty) lot table.
     pub fn with_shards(mut self, shards: usize) -> Self {
         let shards = shards.max(1);
         self.shards = shards;
@@ -691,9 +692,12 @@ impl StorageManager {
         Ok(r?)
     }
 
-    /// Admits an outgoing transfer: checks the Read right and returns the
-    /// file size. Touches the backing lots for LRU accounting.
-    pub fn begin_get(&self, who: &Principal, protocol: &str, path: &VPath) -> Result<u64> {
+    /// Admits a read of part of a file (an NFS block read): checks the
+    /// Read right and returns the file size. Touches the backing lots for
+    /// LRU accounting. The memory tier is neither consulted nor counted:
+    /// a block read is served by the backend and must not copy a whole
+    /// object into RAM.
+    pub fn begin_read(&self, who: &Principal, protocol: &str, path: &VPath) -> Result<u64> {
         self.authorize(who, AccessRight::Read, path, protocol, "get")?;
         let st = self.backend.stat(path)?;
         if st.kind != FileKind::File {
@@ -705,7 +709,14 @@ impl StorageManager {
         if self.enforce_lots {
             self.lots.touch_file(path, self.now());
         }
-        let size = st.size;
+        Ok(st.size)
+    }
+
+    /// Admits an outgoing whole-object transfer: [`Self::begin_read`],
+    /// then records the access with the memory tier and promotes the
+    /// object when the tier decides to.
+    pub fn begin_get(&self, who: &Principal, protocol: &str, path: &VPath) -> Result<u64> {
+        let size = self.begin_read(who, protocol, path)?;
         if self.tier.enabled() {
             let hint = self
                 .residency_hint
@@ -756,16 +767,9 @@ impl StorageManager {
         Ok(r?)
     }
 
-    /// Reads a chunk during an admitted transfer — served from the memory
-    /// tier when the range is resident, from the backend otherwise.
+    /// Reads a chunk from the backend during an admitted transfer.
     pub fn read_chunk(&self, path: &VPath, offset: u64, buf: &mut [u8]) -> Result<usize> {
         let t = Instant::now();
-        if let Some(n) = self.tier.read_at(path, offset, buf) {
-            if let Some(m) = &self.metrics {
-                m.read_us.record(t.elapsed());
-            }
-            return Ok(n);
-        }
         let r = self.backend.read_at(path, offset, buf);
         if let Some(m) = &self.metrics {
             m.read_us.record(t.elapsed());
@@ -775,8 +779,9 @@ impl StorageManager {
 
     /// Grants a raw-descriptor read lease for an *already admitted* GET
     /// (same trust boundary as [`Self::read_chunk`]: authorization
-    /// happened in [`Self::begin_get`]). `None` when the backend has no
-    /// descriptors to lend — the caller falls back to `read_chunk`.
+    /// happened in [`Self::begin_get`] or [`Self::begin_read`]). `None`
+    /// when the backend has no descriptors to lend — the caller falls back
+    /// to `read_chunk`.
     pub fn read_lease(&self, path: &VPath) -> Option<crate::backend::ReadLease> {
         self.backend.read_lease(path)
     }
@@ -1281,11 +1286,13 @@ mod tests {
         sm.begin_get(&who, "chirp", &vp("/hot")).unwrap();
         let obj = sm.tier_object(&vp("/hot")).expect("promoted");
         assert_eq!(obj.len(), 1000);
-        // Third GET is a hit, and chunk reads serve from the tier.
+        // Third GET is a hit. Chunk reads serve the backend, never the
+        // tier: bytes written behind the manager's back show through.
         sm.begin_get(&who, "chirp", &vp("/hot")).unwrap();
+        sm.backend().write_at(&vp("/hot"), 100, &[8; 64]).unwrap();
         let mut buf = [0u8; 64];
         assert_eq!(sm.read_chunk(&vp("/hot"), 100, &mut buf).unwrap(), 64);
-        assert_eq!(buf, [7u8; 64]);
+        assert_eq!(buf, [8u8; 64]);
         let s = sm.tier_stats();
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 2);

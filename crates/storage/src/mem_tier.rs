@@ -34,31 +34,23 @@
 //!   ticket. Because every mutation path invalidates *after* changing the
 //!   backend, a promotion that may have read replaced bytes always finds
 //!   its ticket gone and caches nothing.
+//! * **One consumer.** Whole-object GET admission
+//!   (`StorageManager::begin_get`) is the only caller that counts
+//!   accesses and promotes, and whole-object GETs are the only reads a
+//!   resident copy serves. Block reads go to the backend, whose handle
+//!   cache and the kernel page cache already serve them.
 //!
 //! Locking: the tier state sits behind one mutex, `storage.memtier`,
 //! rank 335 — above the lot table (300) and below the handle cache (340)
 //! per the DESIGN.md §11 order. The tier never calls into the lot manager
 //! or the backend while holding its lock: lot classification is computed
 //! by the caller beforehand, and promotion I/O happens outside.
-//!
-//! In front of the state sits a striped **presence index**
-//! (`storage.memtier.index`, rank 333): a conservative set of paths that
-//! *may* be resident. Cold scan traffic — the dominant case under churn —
-//! asks the index first and skips the state mutex entirely when the
-//! answer is a definitive "absent". The index is append-only on the hot
-//! path (entries are noted *before* they become resident and never
-//! removed on demotion/eviction), so it can report false positives —
-//! which merely fall through to the state lock — but never a false
-//! negative that would skip a resident copy. A per-cell cap with an
-//! overflow flag bounds its memory: a saturated cell answers "maybe" for
-//! everything, degrading to exactly the pre-index behavior. An index cell
-//! is never held concurrently with the state lock.
 
 use crate::namespace::VPath;
 use nest_obs::metrics::{Counter, Gauge};
 use nest_obs::Obs;
-use parking_lot::{shard_hash, Mutex, ShardedMutex};
-use std::collections::{HashMap, HashSet};
+use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// Promote an object on this many accesses inside the window.
@@ -136,20 +128,6 @@ struct Instruments {
     evictions: Arc<Counter>,
 }
 
-/// One stripe of the presence index: paths that may be resident. See the
-/// module docs for the conservative-append protocol.
-struct PresenceCell {
-    present: HashSet<VPath>,
-    /// Set when the cell hit [`PRESENCE_CELL_CAP`]; a saturated cell
-    /// answers "maybe" for every path.
-    overflow: bool,
-}
-
-/// Per-cell bound on the presence index (paths, not bytes). Generous —
-/// the index exists to make *misses* cheap, and ~64k paths per cell cover
-/// far more objects than a RAM tier ever holds resident.
-const PRESENCE_CELL_CAP: usize = 64 * 1024;
-
 /// The bounded in-memory storage tier. `budget == 0` disables every code
 /// path — the ablation baseline does no bookkeeping at all.
 pub struct MemTier {
@@ -157,9 +135,6 @@ pub struct MemTier {
     /// Largest object admitted (whole): budget / 4.
     max_object_bytes: u64,
     state: Mutex<TierState>,
-    /// Striped may-be-resident filter consulted before `state` on read
-    /// paths; never held concurrently with the state lock.
-    index: ShardedMutex<PresenceCell>,
     /// Written once by [`MemTier::register_obs`], then read lock-free on
     /// every access, insert and invalidation.
     instruments: OnceLock<Instruments>,
@@ -173,20 +148,9 @@ impl std::fmt::Debug for MemTier {
     }
 }
 
-/// Default stripe count for the presence index (matching
-/// [`crate::lot::DEFAULT_LOT_SHARDS`]).
-pub const DEFAULT_MEM_TIER_SHARDS: usize = crate::lot::DEFAULT_LOT_SHARDS;
-
 impl MemTier {
-    /// Creates a tier bounded to `budget` bytes (0 disables), with the
-    /// presence index striped [`DEFAULT_MEM_TIER_SHARDS`] ways.
+    /// Creates a tier bounded to `budget` bytes (0 disables).
     pub fn new(budget: u64) -> Self {
-        Self::with_shards(budget, DEFAULT_MEM_TIER_SHARDS)
-    }
-
-    /// Creates a tier with an explicit presence-index stripe count (`1` =
-    /// the single-cell ablation).
-    pub fn with_shards(budget: u64, shards: usize) -> Self {
         Self {
             budget,
             max_object_bytes: (budget / 4).max(1),
@@ -205,37 +169,8 @@ impl MemTier {
                     evictions: 0,
                 },
             ),
-            index: ShardedMutex::new("storage.memtier.index", 333, shards, |_| PresenceCell {
-                present: HashSet::new(),
-                overflow: false,
-            }),
             instruments: OnceLock::new(),
         }
-    }
-
-    /// Whether `path` may have a resident copy. A definitive `false`
-    /// means the read paths can skip the state lock; `true` means "ask
-    /// the state" (false positives are expected — see module docs).
-    fn maybe_resident(&self, path: &VPath) -> bool {
-        let cell = self.index.lock(shard_hash(path));
-        cell.overflow || cell.present.contains(path)
-    }
-
-    /// Notes that `path` is about to become resident. MUST be called
-    /// before the entry is inserted into the state (and the index cell
-    /// released before the state lock is taken) so the index can never
-    /// miss a resident.
-    fn note_present(&self, path: &VPath) {
-        let mut cell = self.index.lock(shard_hash(path));
-        if cell.overflow {
-            return;
-        }
-        if cell.present.len() >= PRESENCE_CELL_CAP {
-            cell.overflow = true;
-            cell.present = HashSet::new(); // saturated: "maybe" for all
-            return;
-        }
-        cell.present.insert(path.clone());
     }
 
     /// The configured byte budget.
@@ -358,36 +293,14 @@ impl MemTier {
     }
 
     /// The whole object, when resident — the transfer layer wraps this in
-    /// a `MemSource`. Does not count a hit ([`MemTier::record_access`]
-    /// already did).
+    /// a `MemSource`. Counts no hit and refreshes no recency: the GET's
+    /// [`MemTier::record_access`] already did both.
     pub fn object(&self, path: &VPath) -> Option<Arc<Vec<u8>>> {
-        if !self.enabled() || !self.maybe_resident(path) {
+        if !self.enabled() {
             return None;
         }
-        let mut st = self.state.lock();
-        st.tick += 1;
-        let tick = st.tick;
-        let e = st.entries.get_mut(path)?;
-        e.last_tick = tick;
-        Some(Arc::clone(&e.data))
-    }
-
-    /// Serves a chunk read from the resident copy (`Some(0)` past its
-    /// end). Returns `None` when the object is not resident — the caller
-    /// falls through to the backend.
-    pub fn read_at(&self, path: &VPath, offset: u64, buf: &mut [u8]) -> Option<usize> {
-        if !self.enabled() || !self.maybe_resident(path) {
-            return None;
-        }
-        let mut st = self.state.lock();
-        st.tick += 1;
-        let tick = st.tick;
-        let e = st.entries.get_mut(path)?;
-        let off = offset.min(e.data.len() as u64) as usize;
-        let n = buf.len().min(e.data.len() - off);
-        buf[..n].copy_from_slice(&e.data[off..off + n]);
-        e.last_tick = tick;
-        Some(n)
+        let st = self.state.lock();
+        st.entries.get(path).map(|e| Arc::clone(&e.data))
     }
 
     /// Loads a whole object read from the backend under `ticket`.
@@ -401,9 +314,6 @@ impl MemTier {
         if !self.enabled() || data.len() as u64 > self.max_object_bytes {
             return;
         }
-        // Index first (cell released before the state lock): a reader that
-        // sees the entry resident must already see it in the index.
-        self.note_present(path);
         let mut st = self.state.lock();
         match st.access.get(path) {
             Some(a) if a.ticket == Some(ticket.0) => {
@@ -595,25 +505,13 @@ mod tests {
     }
 
     #[test]
-    fn read_at_serves_resident_ranges() {
-        let t = MemTier::new(1024);
-        promote(&t, "/f", obj(100, 9), false);
-        let mut buf = [0u8; 40];
-        assert_eq!(t.read_at(&vp("/f"), 60, &mut buf), Some(40));
-        assert_eq!(buf, [9u8; 40]);
-        // Past EOF of a resident object is a definitive zero-length read.
-        assert_eq!(t.read_at(&vp("/f"), 100, &mut buf), Some(0));
-        assert!(t.read_at(&vp("/missing"), 0, &mut buf).is_none());
-    }
-
-    #[test]
     fn budget_is_strict_and_demotes_cold_first() {
         let t = MemTier::new(400);
         for (p, fill) in [("/a", 1), ("/b", 2), ("/c", 3), ("/d", 4)] {
             promote(&t, p, obj(100, fill), false);
         }
-        // Touch /a so /b is the coldest.
-        assert!(t.object(&vp("/a")).is_some());
+        // A GET hit on /a leaves /b the coldest.
+        assert!(t.record_access(&vp("/a"), 100, false, 0).is_none());
         promote(&t, "/e", obj(100, 5), false);
         let s = t.stats();
         assert_eq!(s.bytes, 400);
@@ -652,7 +550,8 @@ mod tests {
         // coldest guaranteed resident.
         promote(&t, "/g5", obj(100, 4), true);
         assert!(t.object(&vp("/g5")).is_some());
-        assert!(t.object(&vp("/g2")).is_none());
+        assert!(t.object(&vp("/g1")).is_none());
+        assert!(t.object(&vp("/g2")).is_some());
         assert_eq!(t.stats().bytes, 400);
     }
 
@@ -696,38 +595,6 @@ mod tests {
         t.insert(&vp("/huge"), obj(200, 1), true, ticket);
         assert!(t.object(&vp("/huge")).is_none());
         assert_eq!(t.stats().bytes, 25);
-    }
-
-    #[test]
-    fn presence_index_is_conservative_never_wrong() {
-        let t = MemTier::with_shards(1024, 4);
-        // Never-inserted paths are definitively absent: the fast path
-        // answers without consulting the state.
-        assert!(!t.maybe_resident(&vp("/never")));
-        assert!(t.read_at(&vp("/never"), 0, &mut [0u8; 4]).is_none());
-        // Resident paths are always indexed.
-        promote(&t, "/f", obj(100, 7), false);
-        assert!(t.maybe_resident(&vp("/f")));
-        assert!(t.object(&vp("/f")).is_some());
-        // Invalidation does NOT remove from the index (append-only): a
-        // stale "maybe" just falls through to the state and reads None.
-        t.invalidate(&vp("/f"));
-        assert!(t.maybe_resident(&vp("/f")));
-        assert!(t.object(&vp("/f")).is_none());
-        assert!(t.read_at(&vp("/f"), 0, &mut [0u8; 4]).is_none());
-    }
-
-    #[test]
-    fn saturated_presence_cell_answers_maybe() {
-        let t = MemTier::with_shards(1024, 1);
-        {
-            let mut cell = t.index.lock_idx(0);
-            cell.overflow = true;
-        }
-        // Overflowed: everything is "maybe present" — reads fall through
-        // to the state lock and stay correct, just not fast.
-        assert!(t.maybe_resident(&vp("/anything")));
-        assert!(t.read_at(&vp("/anything"), 0, &mut [0u8; 4]).is_none());
     }
 
     #[test]
