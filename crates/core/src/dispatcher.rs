@@ -19,8 +19,8 @@ use nest_proto::gsi::{AuthError, Credential, GsiAuthenticator};
 use nest_proto::request::{NestError, NestRequest, NestResponse, TransferUrl};
 use nest_storage::acl::{AclEntry, Who};
 use nest_storage::{
-    AclTable, LocalFsBackend, LotId, MemBackend, Principal, StorageBackend, StorageError,
-    StorageManager, VPath,
+    atomic_replace, AclTable, LocalFsBackend, LotId, MemBackend, Principal, StorageBackend,
+    StorageError, StorageManager, VPath,
 };
 use nest_transfer::cache::CacheModel;
 use nest_transfer::flow::{DataSink, DataSource, FlowMeta};
@@ -100,8 +100,6 @@ pub struct Dispatcher {
     /// Where ACLs persist across restarts (disk-backed appliances only):
     /// a sibling file of the storage root, outside the served namespace.
     acl_store: Option<std::path::PathBuf>,
-    /// Where lots persist across restarts (disk-backed appliances only).
-    lot_store: Option<std::path::PathBuf>,
     /// Shared observability registry.
     obs: Arc<Obs>,
     metrics: DispatchMetrics,
@@ -137,10 +135,7 @@ impl Dispatcher {
             }
         };
         let acl = match &acl_store {
-            Some(path) if path.exists() => {
-                let text = std::fs::read_to_string(path)?;
-                load_acls(&text)
-            }
+            Some(path) if path.exists() => load_acls(path)?,
             _ => AclTable::open_by_default(),
         };
         let mut storage = StorageManager::new(backend, acl, config.capacity, config.reclaim)
@@ -148,22 +143,19 @@ impl Dispatcher {
         if !config.enforce_lots {
             storage = storage.with_lots_disabled();
         }
-        if let Some(path) = &lot_store {
-            if path.exists() {
-                let text = std::fs::read_to_string(path)?;
-                storage = storage.with_lot_state(&text);
-            }
-        }
         // The gray-box cache model doubles as the memory tier's promotion
         // oracle, so it must exist before the storage manager is built.
         let cache = Arc::new(CacheModel::new(config.cache_bytes));
         let hint_cache = Arc::clone(&cache);
-        let storage = storage
+        let mut storage = storage
             .with_ram_tier(config.ram_tier_bytes)
             .with_residency_hint(Arc::new(move |path: &str, size: u64| {
                 hint_cache.predict_resident(path, size)
             }))
             .with_obs(&obs);
+        if let Some(path) = &lot_store {
+            storage = storage.with_lot_store(path)?;
+        }
         let transfers = TransferManager::new(TransferConfig {
             policy: config.sched.clone(),
             model: config.model.clone(),
@@ -196,7 +188,6 @@ impl Dispatcher {
             service_cred: None,
             sched_class: config.sched_class,
             acl_store,
-            lot_store,
             obs,
             metrics,
             retry: config.retry.clone(),
@@ -403,21 +394,6 @@ impl Dispatcher {
         if matches!(resp, NestResponse::Error(_)) {
             self.metrics.errors.inc();
         }
-        // Lot state changes on lot requests and on deletes/renames (which
-        // move or release charges); persist after any of them succeeds.
-        if !matches!(resp, NestResponse::Error(_))
-            && matches!(
-                req,
-                NestRequest::LotCreate { .. }
-                    | NestRequest::LotCreateGroup { .. }
-                    | NestRequest::LotRenew { .. }
-                    | NestRequest::LotTerminate { .. }
-                    | NestRequest::Delete { .. }
-                    | NestRequest::Rename { .. }
-            )
-        {
-            self.persist_lots();
-        }
         resp
     }
 
@@ -530,11 +506,7 @@ impl Dispatcher {
             vpath.clone(),
         ));
         let handle = self.transfers.submit(meta, source, sink);
-        let result = handle.wait();
-        // Lot state changed either way: charged on success, released by
-        // the sink's abort-cleanup on failure. Persist both outcomes.
-        self.persist_lots();
-        let moved = result?;
+        let moved = handle.wait()?;
         self.cache.observe_access(&vpath.to_string(), moved);
         Ok(moved)
     }
@@ -600,6 +572,8 @@ impl Dispatcher {
     }
 
     /// NFS block write, scheduled as a flow like every other transfer.
+    /// Admitted by `begin_write`, so every block is checked against the
+    /// Write right.
     pub fn write_block(
         &self,
         who: &Principal,
@@ -608,6 +582,9 @@ impl Dispatcher {
         offset: u64,
         data: Vec<u8>,
     ) -> Result<(), NestError> {
+        self.storage
+            .begin_write(who, protocol, vpath)
+            .map_err(|e| NestError::from(&e))?;
         let meta = self.stamp_failure_policy(FlowMeta::new(
             self.transfers.next_flow_id(),
             self.class_for(who, protocol),
@@ -647,18 +624,18 @@ impl Dispatcher {
             .map_err(|_| NestError::Internal)
     }
 
-    /// Writes the lot table to its persistence file, if disk-backed.
-    /// Public so the server can checkpoint after transfers and admin
-    /// grants.
+    /// Checkpoints the lot table now: rewrites the snapshot and empties
+    /// the journal (disk-backed appliances). Every lot mutation is already
+    /// journaled as it happens, so this only bounds restart replay.
     pub fn persist_lots(&self) {
-        let Some(path) = &self.lot_store else {
-            return;
-        };
-        let _ = std::fs::write(path, self.storage.lot_manager().snapshot());
+        if let Err(e) = self.storage.checkpoint_lots() {
+            eprintln!("nest: lot checkpoint failed: {e}");
+        }
     }
 
-    /// Writes the ACL table to the persistence file (one ClassAd per
-    /// line), if this appliance is disk-backed.
+    /// Replaces the ACL persistence file (one ClassAd per line), if this
+    /// appliance is disk-backed. ACL changes are rare, so the whole table
+    /// is rewritten, atomically.
     fn persist_acls(&self) {
         let Some(path) = &self.acl_store else {
             return;
@@ -669,8 +646,11 @@ impl Dispatcher {
             out.push('\n');
         }
         // Persistence failures must not fail the client's request; the
-        // in-memory table is still authoritative for this run.
-        let _ = std::fs::write(path, out);
+        // in-memory table is still authoritative for this run, and the
+        // file still holds the previous complete table.
+        if let Err(e) = atomic_replace(path, out.as_bytes()) {
+            eprintln!("nest: {}: ACL table not saved: {e}", path.display());
+        }
     }
 
     // -- resource publication -----------------------------------------------
@@ -778,16 +758,33 @@ impl Dispatcher {
     }
 }
 
-/// Rebuilds an ACL table from the persistence format (one ClassAd per
-/// line; unparseable lines are skipped so a corrupt line cannot brick the
-/// appliance).
-fn load_acls(text: &str) -> AclTable {
-    let ads: Vec<nest_classad::ClassAd> = text
-        .lines()
-        .filter(|l| !l.trim().is_empty())
-        .filter_map(|l| l.parse().ok())
-        .collect();
-    AclTable::from_classads(&ads)
+/// Rebuilds an ACL table from its persistence file (one ClassAd per
+/// line). Fails closed: a line that is not a complete ACL entry is an
+/// `InvalidData` error naming it, never a silently weaker table.
+fn load_acls(path: &std::path::Path) -> io::Result<AclTable> {
+    let text = std::fs::read_to_string(path)?;
+    let mut ads = Vec::new();
+    for (n, line) in text.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let ad = line.parse::<ClassAd>().ok().filter(|ad| {
+            AclEntry::from_classad(ad).is_some()
+                && matches!(ad.eval("Path"), nest_classad::Value::Str(p) if VPath::parse(&p).is_ok())
+        });
+        let Some(ad) = ad else {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "{}: line {}: not an ACL entry: {line:?}",
+                    path.display(),
+                    n + 1
+                ),
+            ));
+        };
+        ads.push(ad);
+    }
+    Ok(AclTable::from_classads(&ads))
 }
 
 fn render_lot(lot: &nest_storage::Lot) -> String {

@@ -87,15 +87,13 @@ impl NfsHandler {
         let res = (|| {
             let path = self.resolve(&args.fh)?;
             if let Some(size) = args.size {
-                // Truncation is a write-class operation: re-admit through
-                // the storage manager so ACLs and lot accounting apply.
-                let sm = self.dispatcher.storage();
-                sm.backend()
-                    .truncate(&path, size as u64)
-                    .map_err(|_| NfsStat::Io)?;
-                if size == 0 {
-                    sm.lot_manager().release_file(&path);
-                }
+                // Truncation is a write-class operation: the storage
+                // manager checks the Write right and keeps the lot
+                // accounting (and its journal) and the tier in step.
+                self.dispatcher
+                    .storage()
+                    .truncate(&self.who(), PROTOCOL, &path, u64::from(size))
+                    .map_err(|e| nfs_stat_for(NestError::from(&e)))?;
             }
             self.attr_for(&path)
         })()

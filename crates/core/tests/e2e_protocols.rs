@@ -388,6 +388,53 @@ fn nfs_truncate_via_setattr() {
 }
 
 #[test]
+fn nfs_write_and_setattr_obey_the_acl() {
+    use nest_proto::nfs::client::NfsError;
+    use nest_proto::nfs::NfsStat;
+    use nest_proto::request::{NestRequest, NestResponse};
+
+    let server = start_server("nfs-acl");
+    server
+        .grant_default_lot("anonymous", 1 << 20, 3600)
+        .unwrap();
+    let addr = server.nfs_addr.unwrap();
+    let mut mount = MountClient::connect(addr).unwrap();
+    let root = mount.mount("/").unwrap();
+    let mut nfs = NfsClient::connect(addr).unwrap();
+    nfs.write_file(root, "ro.bin", &mut std::io::Cursor::new(vec![5u8; 1000]))
+        .unwrap();
+    let (fh, _) = nfs.lookup(root, "ro.bin").unwrap();
+
+    // From here on everyone — the anonymous NFS client included — may
+    // only read and look up.
+    assert_eq!(
+        server.dispatcher().execute_sync(
+            &nest_storage::Principal::user("admin"),
+            "chirp",
+            &NestRequest::SetAcl {
+                path: "/".into(),
+                principal: "*".into(),
+                rights: "rl".into(),
+            }
+        ),
+        NestResponse::Ok
+    );
+    for (op, result) in [
+        ("WRITE", nfs.write(fh, 0, &[9u8; 100]).map(drop)),
+        ("SETATTR", nfs.truncate(fh, 0).map(drop)),
+    ] {
+        assert!(
+            matches!(result, Err(NfsError::Status(NfsStat::Acces))),
+            "{op}: {result:?}"
+        );
+    }
+    let mut back = Vec::new();
+    nfs.read_file(fh, &mut back).unwrap();
+    assert_eq!(back, vec![5u8; 1000]);
+    server.shutdown();
+}
+
+#[test]
 fn localfs_backed_appliance_round_trips() {
     // The appliance over a real directory: bytes must land on disk and be
     // visible across protocols and across server restarts.
@@ -644,6 +691,7 @@ fn lots_persist_across_restarts_on_disk() {
     let dir = std::env::temp_dir().join(format!("nest-lotpersist-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_file(dir.with_extension("lots"));
+    let _ = std::fs::remove_file(dir.with_extension("lots.journal"));
     let _ = std::fs::remove_file(dir.with_extension("acls"));
 
     let start_disk = |name: &str| {
@@ -665,7 +713,6 @@ fn lots_persist_across_restarts_on_disk() {
             .unwrap();
         lot_id = chirp.lot_create(600 << 10, 3600).unwrap();
         chirp.put_bytes("/kept.bin", &[9u8; 100_000]).unwrap();
-        // unlink+put forces a persist with the final charge recorded.
         server.shutdown();
     }
 
@@ -690,6 +737,7 @@ fn lots_persist_across_restarts_on_disk() {
 
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_file(dir.with_extension("lots"));
+    let _ = std::fs::remove_file(dir.with_extension("lots.journal"));
     let _ = std::fs::remove_file(dir.with_extension("acls"));
 }
 

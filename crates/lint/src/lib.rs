@@ -28,6 +28,7 @@
 //! | `atomic-ordering` | bare `Ordering::Relaxed` outside the stats module (`crates/obs/src/metrics.rs`) — every relaxed access elsewhere carries a reasoned `nestlint: allow(atomic-ordering)` explaining why no synchronization rides on it |
 //! | `sharded-bypass` | direct shard-cell access (`.lock_idx(` / `.shard_cell(`) in a file that does not itself declare a `ShardedMutex<` — the wrapper module owns the ascending-index discipline; outside callers go through its API |
 //! | `lock-rank` | a lock class literal (`Mutex::named` / `RwLock::named` / `Condvar::named` / `ShardedMutex::new`) missing from DESIGN.md's rank table, or a rank-table class no code constructs (`model.*` / `test.*` harness classes are exempt) |
+//! | `lot-bypass` | a `LotManager` mutator (`charge_file`, `release_file`, `create`, `renew`, `terminate`) called on the appliance's table (`lot_manager()`, or a binding of it) outside `crates/storage`, where every lot mutation is journaled; and `fs::write(` in `crates/core` or `crates/storage`, whose persistent state goes through the lot journal or `atomic_replace` |
 //!
 //! ## Suppression
 //!
@@ -94,7 +95,36 @@ pub const RULES: &[&str] = &[
     "atomic-ordering",
     "sharded-bypass",
     "lock-rank",
+    "lot-bypass",
 ];
+
+/// `LotManager` methods that change the lot table.
+const LOT_MUTATORS: [&str; 5] = [
+    "charge_file",
+    "release_file",
+    "create",
+    "renew",
+    "terminate",
+];
+
+/// Whether `line` calls `pat` (e.g. `lm.create(`) with `pat` starting at a
+/// token boundary, so `xlm.create(` or `nfs::write(` do not match.
+fn calls(line: &str, pat: &str) -> bool {
+    line.match_indices(pat).any(|(pos, _)| {
+        !line[..pos]
+            .chars()
+            .next_back()
+            .is_some_and(|c| c.is_ascii_alphanumeric() || c == '_')
+    })
+}
+
+/// The name a `let` statement binds, if `line` is one.
+fn let_binding(line: &str) -> Option<&str> {
+    let rest = line.strip_prefix("let ")?;
+    let rest = rest.strip_prefix("mut ").unwrap_or(rest);
+    let end = rest.find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))?;
+    (end > 0).then(|| &rest[..end])
+}
 
 /// Whether `path` (workspace-relative, `/`-separated) is in scope.
 fn in_scope(path: &str) -> bool {
@@ -321,6 +351,13 @@ fn scan_file(
     // atomic-ordering: the metrics module is the sanctioned home of
     // relaxed counters — monotonic stats nobody synchronizes on.
     let is_stats_module = path == "crates/obs/src/metrics.rs";
+    // lot-bypass: the storage crate journals every lot mutation; a caller
+    // elsewhere that mutates the appliance's table directly skips the
+    // journal, and a bare `fs::write` truncates before it writes.
+    let owns_lots = path.starts_with("crates/storage/src");
+    let keeps_state = owns_lots || path.starts_with("crates/core/src");
+    // Receivers that name the appliance's lot table in this file.
+    let mut lot_tables: Vec<String> = vec!["lot_manager()".to_owned()];
     let mut prev: Option<&str> = None;
     // Whether the contiguous comment block (plus any attributes)
     // directly above the current line contains `SAFETY:`.
@@ -496,6 +533,25 @@ fn scan_file(
                 }
                 lock_classes.push(class);
             }
+        }
+
+        // lot-bypass: no lot mutation outside the journaling storage
+        // crate, and no truncate-then-write of persistent state.
+        if !owns_lots {
+            if let Some(name) = let_binding(line).filter(|_| line.contains("lot_manager()")) {
+                lot_tables.push(name.to_owned());
+            }
+            // A chain rustfmt split after `lot_manager()` continues here.
+            let chained = prev.is_some_and(|p| p.trim_end().ends_with("lot_manager()"));
+            if LOT_MUTATORS.iter().any(|m| {
+                (chained && line.starts_with(&format!(".{m}(")))
+                    || lot_tables.iter().any(|t| calls(line, &format!("{t}.{m}(")))
+            }) {
+                report("lot-bypass");
+            }
+        }
+        if keeps_state && calls(line, "fs::write(") {
+            report("lot-bypass");
         }
 
         // undocumented-metric: registered names must be in DESIGN.md.
@@ -907,6 +963,46 @@ mod tests {
                       // nestlint: allow(lock-rank): scratch lock in a migration shim\n\
                       fn g() { let m = Mutex::named(\"scratch.x\", 1, 0); }\n";
         assert!(scan_source("crates/storage/src/x.rs", exempt, DESIGN).is_empty());
+    }
+
+    #[test]
+    fn seeded_lot_bypass_is_caught_outside_storage() {
+        let src = "fn f(sm: &StorageManager) {\n\
+                   sm.lot_manager().release_file(&p);\n\
+                   let lm = sm.lot_manager();\n\
+                   lm.charge_file(\"u\", &g, &p, 1, 0)?;\n\
+                   let cap = lm.total_capacity();\n\
+                   let id = sm.lot_manager()\n\
+                   .create(owner, 1, 1, 0)?;\n\
+                   std::fs::write(path, snapshot);\n\
+                   }\n";
+        let v = scan_source("crates/core/src/handlers/nfs.rs", src, DESIGN);
+        assert_eq!(rules_of(&v), vec!["lot-bypass"; 4]);
+        assert_eq!(
+            v.iter().map(|v| v.line).collect::<Vec<_>>(),
+            vec![2, 4, 7, 8]
+        );
+        // The storage crate owns the table and journals its mutations...
+        let mutators = "fn f(&self) { self.lots.release_file(p); lm.terminate(id); }\n";
+        assert!(scan_source("crates/storage/src/manager.rs", mutators, DESIGN).is_empty());
+        // ...but its persistent state is never truncate-then-written.
+        let write = "fn f() { let _ = fs::write(path, bytes); }\n";
+        assert_eq!(
+            rules_of(&scan_source("crates/storage/src/x.rs", write, DESIGN)),
+            vec!["lot-bypass"]
+        );
+        // A standalone LotManager (a reclamation-policy bench) is not the
+        // appliance's table; other crates write files as they please; and
+        // an NFS module path is not `fs`.
+        let standalone = "fn f() { let lm = LotManager::new(1, p); lm.create(o, 1, 1, 0); }\n";
+        assert!(scan_source("crates/bench/src/bin/x.rs", standalone, DESIGN).is_empty());
+        assert!(scan_source("crates/bench/src/bin/x.rs", write, DESIGN).is_empty());
+        let nfs = "fn f() { nfs::write(d); lm2.create(o); }\n";
+        assert!(scan_source("crates/core/src/x.rs", nfs, DESIGN).is_empty());
+        // Suppression works as for every other rule.
+        let allowed = "// nestlint: allow(lot-bypass): fixture writer for a scratch file\n\
+                       fn f() { std::fs::write(p, b)?; }\n";
+        assert!(scan_source("crates/core/src/x.rs", allowed, DESIGN).is_empty());
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! | memory tier         | `storage.memtier` promote vs. invalidate       |
 //! | session admission   | lock-free `active` counter protocol            |
 //! | striped lot table   | `storage.lot` cells + sloppy `committed` bound |
+//! | lot journal         | `storage.lot.journal` append order vs. cells   |
 //! | sharded live map    | striped registry walk vs. self-removal         |
 //!
 //! Every schedule executes the real crate code; the `invariant!`
@@ -366,6 +367,85 @@ fn striped_lot_charge_release_evict_conserves_bytes() {
     });
     assert!(report.complete, "exploration hit a budget: {report:?}");
     assert!(report.failure.is_none());
+}
+
+/// The lot journal's ordering rule (DESIGN §18): one thread charges a
+/// path and another releases it, and each then appends the state of the
+/// keys it touched, rendered from the live table while the journal lock
+/// is held. However
+/// the two mutations and the two appends interleave — including the
+/// appends landing in the opposite order to the mutations — the last
+/// record for the path is its newest state, so the snapshot plus the
+/// journal replays to the live table byte for byte.
+#[test]
+fn lot_journal_replay_matches_live_state_under_racing_appends() {
+    use nest_storage::lot::{LotKey, LotManager, LotOwner, ReclaimPolicy};
+    use nest_storage::{LotJournal, VPath};
+    use std::collections::HashSet;
+    use std::sync::atomic::AtomicU64;
+
+    let dir = std::env::temp_dir().join(format!("nest-model-journal-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let runs = AtomicU64::new(0);
+    let scratch = dir.clone();
+    let report = check(&Config::exhaustive(), move || {
+        let store = scratch.join(format!("{}.lots", runs.fetch_add(1, Ordering::SeqCst)));
+        let (journal, _) = LotJournal::open(&store).expect("open journal");
+        let lots = Arc::new(LotManager::with_shards(
+            1000,
+            ReclaimPolicy::ExpiredFirst,
+            1,
+        ));
+        let path = VPath::parse("/model/f").expect("valid vpath");
+        lots.create(LotOwner::User("u".into()), 100, 1000, 0)
+            .expect("lot");
+        lots.charge_file("u", &HashSet::new(), &path, 10, 0)
+            .expect("seed charge");
+        journal.compact(&lots).expect("snapshot");
+        let journal = Arc::new(journal);
+
+        let charger = {
+            let (lots, journal, path) = (Arc::clone(&lots), Arc::clone(&journal), path.clone());
+            thread::spawn(move || {
+                // The charge also stamps its lot's `last_access`, which
+                // the path's record cannot carry once the release won.
+                let charged = lots
+                    .charge_file("u", &HashSet::new(), &path, 20, 1)
+                    .expect("fits the lot");
+                let mut keys = vec![LotKey::Path(&path)];
+                keys.extend(charged.into_iter().map(LotKey::Lot));
+                journal.append(&lots, &keys).expect("append");
+            })
+        };
+        let releaser = {
+            let (lots, journal, path) = (Arc::clone(&lots), Arc::clone(&journal), path.clone());
+            thread::spawn(move || {
+                lots.release_file(&path);
+                journal
+                    .append(&lots, &[LotKey::Path(&path)])
+                    .expect("append");
+            })
+        };
+        charger.join();
+        releaser.join();
+
+        let (_, recovered) = LotJournal::open(&store).expect("reopen journal");
+        let replayed = LotManager::restore_with_shards(
+            &recovered.text,
+            1000,
+            ReclaimPolicy::ExpiredFirst,
+            1,
+            1,
+        );
+        assert_eq!(
+            replayed.snapshot(),
+            lots.snapshot(),
+            "the journal's last record for the path is not its newest state"
+        );
+    });
+    assert!(report.complete, "exploration hit a budget: {report:?}");
+    assert!(report.failure.is_none());
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The sharded session registry's admit-vs-drain consistency: `serve()`

@@ -19,6 +19,8 @@
 //! * [`lot`] — storage-space guarantees: a *lot* has an owner, capacity,
 //!   duration and a set of files; expired lots become *best-effort* (their
 //!   files linger until space is reclaimed for new lots).
+//! * [`lot_journal`] — lot state that survives a crash: a snapshot file
+//!   plus an append-only, checksummed journal of every lot mutation.
 //! * [`mem_tier`] — the actuating memory tier: a bounded, lot-aware RAM
 //!   cache under the manager, promoting hot objects so they serve at
 //!   memory speed regardless of OS page-cache churn.
@@ -34,6 +36,7 @@ pub mod acl;
 pub mod backend;
 pub mod handle_cache;
 pub mod lot;
+pub mod lot_journal;
 pub mod manager;
 pub mod mem_tier;
 pub mod namespace;
@@ -42,7 +45,8 @@ pub mod quota;
 pub use acl::{AccessRight, AclEntry, AclTable, Principal};
 pub use backend::{FileKind, FileStat, LocalFsBackend, MemBackend, ReadLease, StorageBackend};
 pub use handle_cache::{HandleCache, HandleCacheStats};
-pub use lot::{Lot, LotError, LotId, LotManager, ReclaimPolicy};
+pub use lot::{Lot, LotError, LotId, LotKey, LotManager, ReclaimPolicy};
+pub use lot_journal::{atomic_replace, LotJournal};
 pub use manager::{ObjectEntry, ObjectListing, StorageError, StorageManager};
 pub use mem_tier::{MemTier, MemTierStats};
 pub use namespace::{PathError, VPath};

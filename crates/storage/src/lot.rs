@@ -17,7 +17,7 @@
 use crate::namespace::VPath;
 use parking_lot::{shard_hash, MutexGuard, ShardedMutex};
 use std::collections::{BTreeMap, HashMap};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A lot identifier, unique within one NeST.
@@ -152,6 +152,16 @@ pub struct Evicted {
     pub files: Vec<VPath>,
     /// The reclaimed lots.
     pub lots: Vec<LotId>,
+}
+
+/// A key of the lot table whose current state one journal record carries
+/// (see [`LotManager::render_keys`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LotKey<'a> {
+    /// A lot's header, or its tombstone once the lot is gone.
+    Lot(LotId),
+    /// Every charge of one path.
+    Path(&'a VPath),
 }
 
 /// Default stripe count for the lot table (and the other sharded tables
@@ -311,6 +321,15 @@ impl LotManager {
         self.total_capacity.saturating_sub(self.guaranteed(now))
     }
 
+    /// Σ `used` over every lot, and the number of lots: one cell at a
+    /// time, cloning nothing (sloppy, like [`LotManager::guaranteed`]).
+    pub(crate) fn occupancy(&self) -> (u64, usize) {
+        self.cells
+            .for_each_cell(|_, c| (c.lots.values().map(|l| l.used).sum::<u64>(), c.lots.len()))
+            .into_iter()
+            .fold((0, 0), |(used, n), (u, k)| (used + u, n + k))
+    }
+
     /// Creates a lot of `capacity` bytes lasting `duration` seconds,
     /// reclaiming best-effort lots if needed. Returns the new lot id and
     /// any evictions the caller must apply to the backend.
@@ -385,26 +404,31 @@ impl LotManager {
     ) -> Result<(LotId, Evicted), LotError> {
         let mut guards: Vec<(usize, MutexGuard<'_, LotCell>)> =
             self.cells.lock_all().into_iter().enumerate().collect();
+        let (active_cap, best_used) = committed_parts(&guards, now);
+        // Reclaiming every best-effort lot frees at most `best_used`, so a
+        // lot that would not fit even then is refused before any victim
+        // is evicted: a failed creation changes nothing.
+        if active_cap.saturating_add(capacity) > self.total_capacity {
+            // The failed admission still knows the exact state: correct
+            // the sloppy bound before reporting.
+            self.committed
+                // nestlint: allow(atomic-ordering): all cells held
+                .store(active_cap + best_used, Ordering::Relaxed);
+            return Err(LotError::InsufficientSpace {
+                requested: capacity,
+                available: self.total_capacity.saturating_sub(active_cap),
+            });
+        }
         let mut evicted = Evicted::default();
         let (active_cap, best_used) = loop {
             let (active_cap, best_used) = committed_parts(&guards, now);
             if active_cap + best_used + capacity <= self.total_capacity {
                 break (active_cap, best_used);
             }
-            match self.pick_victim(&guards, now) {
-                Some(victim) => self.evict_locked(&mut guards, victim, &mut evicted),
-                None => {
-                    // The failed admission still knows the exact state:
-                    // correct the sloppy bound before reporting.
-                    self.committed
-                        // nestlint: allow(atomic-ordering): all cells held
-                        .store(active_cap + best_used, Ordering::Relaxed);
-                    return Err(LotError::InsufficientSpace {
-                        requested: capacity,
-                        available: self.total_capacity.saturating_sub(active_cap),
-                    });
-                }
-            }
+            let victim = self
+                .pick_victim(&guards, now)
+                .expect("a best-effort lot remains while best-effort bytes do");
+            self.evict_locked(&mut guards, victim, &mut evicted);
         };
         let key = owner_key(&owner);
         cell_mut(&mut guards, self.cell_of(id)).lots.insert(
@@ -528,7 +552,8 @@ impl LotManager {
 
     /// Charges `bytes` for `path` against the user's active lots, spanning
     /// lots when one alone cannot hold the file (paper: "a file may span
-    /// multiple lots if it cannot fit within a single one").
+    /// multiple lots if it cannot fit within a single one"). Returns the
+    /// lots charged, whose `last_access` the charge also stamped.
     ///
     /// Locks only the cells holding the user's candidate lots plus the
     /// path's span cell (ascending); the owner index is read and released
@@ -541,7 +566,7 @@ impl LotManager {
         path: &VPath,
         bytes: u64,
         now: u64,
-    ) -> Result<(), LotError> {
+    ) -> Result<Vec<LotId>, LotError> {
         // Candidate ids from the owner index, guard dropped before any
         // cell lock (cells → owners is the only permitted nesting).
         let mut candidates: Vec<LotId> = Vec::new();
@@ -619,15 +644,15 @@ impl LotManager {
             .file_spans
             .entry(path.clone())
             .or_default();
-        for id in charged {
-            if !spans.contains(&id) {
-                spans.push(id);
+        for id in &charged {
+            if !spans.contains(id) {
+                spans.push(*id);
             }
         }
         for (_, g) in &guards {
             g.debug_assert_cell_invariants();
         }
-        Ok(())
+        Ok(charged)
     }
 
     /// Releases all of a file's charges (on delete or truncate-to-zero).
@@ -652,7 +677,7 @@ impl LotManager {
         };
         loop {
             let mut guards = self.lock_cells(needed.clone());
-            let Some(span) = cell_ref(&guards, pidx).file_spans.get(path).cloned() else {
+            let Some(span) = cell_ref(&guards, pidx).file_spans.get(path) else {
                 return 0;
             };
             let mut now_needed: Vec<usize> = span.iter().map(|id| self.cell_of(*id)).collect();
@@ -663,17 +688,7 @@ impl LotManager {
                 needed = now_needed;
                 continue; // guards drop; retry with the wider set
             }
-            cell_mut(&mut guards, pidx).file_spans.remove(path);
-            let mut released = 0;
-            for id in span {
-                let idx = self.cell_of(id);
-                if let Some(lot) = cell_mut(&mut guards, idx).lots.get_mut(&id) {
-                    if let Some(bytes) = lot.files.remove(path) {
-                        lot.used = lot.used.saturating_sub(bytes);
-                        released += bytes;
-                    }
-                }
-            }
+            let released = self.unfile_locked(&mut guards, path);
             // Releasing a span must leave every touched lot conserving
             // bytes (the expiry-dependent guarantee check needs a clock
             // and is re-verified on the next exact-path operation).
@@ -766,24 +781,82 @@ impl LotManager {
         lots.sort_by_key(|l| l.id);
         let mut out = String::new();
         for lot in lots {
-            let (kind, name) = match &lot.owner {
-                LotOwner::User(u) => ("user", u),
-                LotOwner::Group(g) => ("group", g),
-            };
-            out.push_str(&format!(
-                "lot {} {} {} {} {} {}\n",
-                lot.id.0, kind, name, lot.capacity, lot.expires_at, lot.last_access
-            ));
+            write_lot_line(&mut out, lot);
             for (path, bytes) in &lot.files {
-                out.push_str(&format!("file {} {} {}\n", lot.id.0, bytes, path));
+                let _ = writeln!(out, "file {} {} {}", lot.id.0, bytes, path);
             }
         }
         out
     }
 
-    /// Rebuilds a manager from a [`LotManager::snapshot`]. Unparseable
-    /// lines are skipped (a corrupt line must not brick the appliance);
-    /// lots that would violate the guarantee invariant against
+    /// Renders the *current* state of `keys` in the snapshot's grammar
+    /// plus two tombstones — the payload of one lot-journal record:
+    ///
+    /// ```text
+    /// -lot <id>          the lot is gone, with every charge it held
+    /// unfile <path>      drop every charge of the path; then, per charge,
+    /// lot …              the backing lot's header (an upsert that keeps
+    /// file <lot> <b> <p> its files) and the charge itself
+    /// ```
+    ///
+    /// A path's record is rendered under its span cell and every backing
+    /// lot's cell at once, so it is one consistent state of that path.
+    /// A lot header already written for a path key is not repeated.
+    pub fn render_keys(&self, keys: &[LotKey<'_>], out: &mut String) {
+        let mut headers = Vec::new();
+        for key in keys {
+            match *key {
+                LotKey::Lot(id) if headers.contains(&id) => {}
+                LotKey::Lot(id) => match self.cells.lock_idx(self.cell_of(id)).lots.get(&id) {
+                    Some(lot) => write_lot_line(out, lot),
+                    None => {
+                        let _ = writeln!(out, "-lot {}", id.0);
+                    }
+                },
+                LotKey::Path(path) => self.render_path(path, out, &mut headers),
+            }
+        }
+    }
+
+    fn render_path(&self, path: &VPath, out: &mut String, headers: &mut Vec<LotId>) {
+        let pidx = self.cell_of_path(path);
+        let mut needed = vec![pidx];
+        loop {
+            let guards = self.lock_cells(needed.clone());
+            let span = cell_ref(&guards, pidx)
+                .file_spans
+                .get(path)
+                .cloned()
+                .unwrap_or_default();
+            let mut want: Vec<usize> = span.iter().map(|id| self.cell_of(*id)).collect();
+            want.push(pidx);
+            if want.iter().any(|i| !needed.contains(i)) {
+                needed = want;
+                continue; // guards drop; retry holding the span's cells too
+            }
+            let _ = writeln!(out, "unfile {path}");
+            for id in span {
+                let Some(lot) = cell_ref(&guards, self.cell_of(id)).lots.get(&id) else {
+                    continue;
+                };
+                if let Some(bytes) = lot.files.get(path) {
+                    write_lot_line(out, lot);
+                    headers.push(id);
+                    let _ = writeln!(out, "file {} {} {}", id.0, bytes, path);
+                }
+            }
+            return;
+        }
+    }
+
+    /// Rebuilds a manager from a [`LotManager::snapshot`], optionally
+    /// followed by lot-journal payloads ([`LotManager::render_keys`]):
+    /// one parser replays the lines in order. Unparseable lines are
+    /// skipped (a corrupt line must not brick the appliance). Charges are
+    /// replayed unchecked, since a journal may carry a path's new charge
+    /// before another path's release that made room for it; a lot still
+    /// over capacity at the end keeps its files in path order while they
+    /// fit. Lots that would violate the guarantee invariant against
     /// `total_capacity` *as of `now`* are dropped (expired lots count only
     /// their stored bytes, exactly as in the live invariant).
     pub fn restore(text: &str, total_capacity: u64, policy: ReclaimPolicy, now: u64) -> Self {
@@ -804,74 +877,25 @@ impl LotManager {
                 manager.cells.lock_all().into_iter().enumerate().collect();
             let mut max_id = 0u64;
             for line in text.lines() {
-                let mut it = line.split_whitespace();
-                match it.next() {
-                    Some("lot") => {
-                        let mut parse = || -> Option<Lot> {
-                            let id = LotId(it.next()?.parse().ok()?);
-                            let kind = it.next()?;
-                            let name = it.next()?.to_owned();
-                            let owner = match kind {
-                                "user" => LotOwner::User(name),
-                                "group" => LotOwner::Group(name),
-                                _ => return None,
-                            };
-                            Some(Lot {
-                                id,
-                                owner,
-                                capacity: it.next()?.parse().ok()?,
-                                expires_at: it.next()?.parse().ok()?,
-                                used: 0,
-                                last_access: it.next()?.parse().ok()?,
-                                files: BTreeMap::new(),
-                            })
-                        };
-                        if let Some(lot) = parse() {
-                            max_id = max_id.max(lot.id.0);
-                            let key = owner_key(&lot.owner);
-                            let id = lot.id;
-                            cell_mut(&mut guards, manager.cell_of(id))
-                                .lots
-                                .insert(id, lot);
-                            manager.owner_add(&key, id);
-                        }
+                match parse_line(line) {
+                    Some(Line::Lot(lot)) => {
+                        max_id = max_id.max(lot.id.0);
+                        manager.upsert_locked(&mut guards, lot);
                     }
-                    Some("file") => {
-                        let parse = || -> Option<(LotId, u64, VPath)> {
-                            let id = LotId(it.next()?.parse().ok()?);
-                            let bytes: u64 = it.next()?.parse().ok()?;
-                            // The path is the remainder (it may hold spaces
-                            // only if clients sent them; VPath handles it).
-                            let rest: Vec<&str> = it.collect();
-                            let path = VPath::parse(&rest.join(" ")).ok()?;
-                            Some((id, bytes, path))
-                        };
-                        if let Some((id, bytes, path)) = parse() {
-                            let pidx = manager.cell_of_path(&path);
-                            let mut charged = false;
-                            if let Some(lot) =
-                                cell_mut(&mut guards, manager.cell_of(id)).lots.get_mut(&id)
-                            {
-                                if lot.used + bytes <= lot.capacity {
-                                    lot.used += bytes;
-                                    *lot.files.entry(path.clone()).or_insert(0) += bytes;
-                                    charged = true;
-                                }
-                            }
-                            if charged {
-                                let spans = cell_mut(&mut guards, pidx)
-                                    .file_spans
-                                    .entry(path)
-                                    .or_default();
-                                if !spans.contains(&id) {
-                                    spans.push(id);
-                                }
-                            }
-                        }
+                    Some(Line::DropLot(id)) => {
+                        max_id = max_id.max(id.0);
+                        manager.drop_lot_locked(&mut guards, id);
                     }
-                    _ => {}
+                    Some(Line::File(id, bytes, path)) => {
+                        manager.charge_locked(&mut guards, id, bytes, path);
+                    }
+                    Some(Line::Unfile(path)) => {
+                        manager.unfile_locked(&mut guards, &path);
+                    }
+                    None => {}
                 }
             }
+            manager.trim_overfull_locked(&mut guards);
             // Enforce the guarantee invariant: drop newest lots until the
             // snapshot fits the (possibly reduced) capacity.
             loop {
@@ -900,6 +924,131 @@ impl LotManager {
             manager.next_id.store(max_id + 1, Ordering::Relaxed);
         }
         manager
+    }
+
+    /// Replays a `lot` line: inserts the lot, or updates an existing
+    /// lot's header and keeps its files. Caller holds every cell.
+    fn upsert_locked(&self, guards: &mut [(usize, MutexGuard<'_, LotCell>)], lot: Lot) {
+        let id = lot.id;
+        let cell = cell_mut(guards, self.cell_of(id));
+        match cell.lots.get_mut(&id) {
+            Some(old) => {
+                old.capacity = lot.capacity;
+                old.expires_at = lot.expires_at;
+                old.last_access = lot.last_access;
+            }
+            None => {
+                let key = owner_key(&lot.owner);
+                cell.lots.insert(id, lot);
+                self.owner_add(&key, id);
+            }
+        }
+    }
+
+    /// Replays `-lot <id>`: removes the lot and every charge it held
+    /// (other lots' charges of the same paths stay). Caller holds every
+    /// cell.
+    fn drop_lot_locked(&self, guards: &mut [(usize, MutexGuard<'_, LotCell>)], id: LotId) {
+        let Some(lot) = cell_mut(guards, self.cell_of(id)).lots.remove(&id) else {
+            return;
+        };
+        self.owner_remove(&owner_key(&lot.owner), id);
+        for path in lot.files.keys() {
+            self.unspan_locked(guards, path, id);
+        }
+    }
+
+    /// Removes lot `id` from `path`'s span, and the span once it is empty.
+    fn unspan_locked(
+        &self,
+        guards: &mut [(usize, MutexGuard<'_, LotCell>)],
+        path: &VPath,
+        id: LotId,
+    ) {
+        let spans = &mut cell_mut(guards, self.cell_of_path(path)).file_spans;
+        if let Some(span) = spans.get_mut(path) {
+            span.retain(|l| *l != id);
+            if span.is_empty() {
+                spans.remove(path);
+            }
+        }
+    }
+
+    /// Replays a `file` line: adds the charge to an existing lot, with no
+    /// capacity check (see [`LotManager::restore`]). Caller holds every
+    /// cell.
+    fn charge_locked(
+        &self,
+        guards: &mut [(usize, MutexGuard<'_, LotCell>)],
+        id: LotId,
+        bytes: u64,
+        path: VPath,
+    ) {
+        let Some(lot) = cell_mut(guards, self.cell_of(id)).lots.get_mut(&id) else {
+            return;
+        };
+        lot.used = lot.used.saturating_add(bytes);
+        let charge = lot.files.entry(path.clone()).or_insert(0);
+        *charge = charge.saturating_add(bytes);
+        let span = cell_mut(guards, self.cell_of_path(&path))
+            .file_spans
+            .entry(path)
+            .or_default();
+        if !span.contains(&id) {
+            span.push(id);
+        }
+    }
+
+    /// Drops every charge of `path` and returns the bytes released. Caller
+    /// holds the path's cell and every cell its span touches.
+    fn unfile_locked(&self, guards: &mut [(usize, MutexGuard<'_, LotCell>)], path: &VPath) -> u64 {
+        let Some(span) = cell_mut(guards, self.cell_of_path(path))
+            .file_spans
+            .remove(path)
+        else {
+            return 0;
+        };
+        let mut released = 0;
+        for id in span {
+            if let Some(lot) = cell_mut(guards, self.cell_of(id)).lots.get_mut(&id) {
+                if let Some(bytes) = lot.files.remove(path) {
+                    lot.used = lot.used.saturating_sub(bytes);
+                    released += bytes;
+                }
+            }
+        }
+        released
+    }
+
+    /// A replayed lot left over its capacity keeps its files in path
+    /// order while they fit; the rest lose their charge in it. Caller
+    /// holds every cell.
+    fn trim_overfull_locked(&self, guards: &mut [(usize, MutexGuard<'_, LotCell>)]) {
+        let mut overflow: Vec<(LotId, Vec<VPath>)> = Vec::new();
+        for (_, g) in guards.iter() {
+            for lot in g.lots.values().filter(|l| l.used > l.capacity) {
+                let mut kept = 0u64;
+                let mut dropped = Vec::new();
+                for (path, bytes) in &lot.files {
+                    match kept.checked_add(*bytes).filter(|k| *k <= lot.capacity) {
+                        Some(k) => kept = k,
+                        None => dropped.push(path.clone()),
+                    }
+                }
+                overflow.push((lot.id, dropped));
+            }
+        }
+        for (id, paths) in overflow {
+            for path in paths {
+                let lot = cell_mut(guards, self.cell_of(id))
+                    .lots
+                    .get_mut(&id)
+                    .expect("collected from a held cell");
+                let bytes = lot.files.remove(&path).unwrap_or(0);
+                lot.used = lot.used.saturating_sub(bytes);
+                self.unspan_locked(guards, &path, id);
+            }
+        }
     }
 
     /// Reclamation victim per policy, across every (held) cell.
@@ -1010,6 +1159,62 @@ fn committed_parts(guards: &[(usize, MutexGuard<'_, LotCell>)], now: u64) -> (u6
         }
     }
     (active_cap, best_used)
+}
+
+/// Appends a lot's header line: `lot <id> <user|group> <name> <capacity>
+/// <expires> <last_access>`.
+fn write_lot_line(out: &mut String, lot: &Lot) {
+    let (kind, name) = match &lot.owner {
+        LotOwner::User(u) => ("user", u),
+        LotOwner::Group(g) => ("group", g),
+    };
+    let _ = writeln!(
+        out,
+        "lot {} {} {} {} {} {}",
+        lot.id.0, kind, name, lot.capacity, lot.expires_at, lot.last_access
+    );
+}
+
+/// One line of the lot-table grammar ([`LotManager::render_keys`]).
+enum Line {
+    Lot(Lot),
+    DropLot(LotId),
+    File(LotId, u64, VPath),
+    Unfile(VPath),
+}
+
+fn parse_line(line: &str) -> Option<Line> {
+    if let Some(path) = line.strip_prefix("unfile ") {
+        return VPath::parse(path).ok().map(Line::Unfile);
+    }
+    if let Some(rest) = line.strip_prefix("file ") {
+        // The path is the remainder, spaces and all.
+        let mut it = rest.splitn(3, ' ');
+        let id = LotId(it.next()?.parse().ok()?);
+        let bytes = it.next()?.parse().ok()?;
+        return Some(Line::File(id, bytes, VPath::parse(it.next()?).ok()?));
+    }
+    if let Some(id) = line.strip_prefix("-lot ") {
+        return Some(Line::DropLot(LotId(id.parse().ok()?)));
+    }
+    let mut it = line.strip_prefix("lot ")?.split_whitespace();
+    let id = LotId(it.next()?.parse().ok()?);
+    let kind = it.next()?;
+    let name = it.next()?.to_owned();
+    let owner = match kind {
+        "user" => LotOwner::User(name),
+        "group" => LotOwner::Group(name),
+        _ => return None,
+    };
+    Some(Line::Lot(Lot {
+        id,
+        owner,
+        capacity: it.next()?.parse().ok()?,
+        expires_at: it.next()?.parse().ok()?,
+        used: 0,
+        last_access: it.next()?.parse().ok()?,
+        files: BTreeMap::new(),
+    }))
 }
 
 /// The guard for cell `idx` in a held (index, guard) set, mutably.
@@ -1364,9 +1569,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// `file_charge` agrees with the whole-table fold it replaced
-        /// after every op of a create / charge / release / renew /
-        /// terminate / expire / restore sequence, striped and not.
+        /// `file_charge` and `occupancy` agree with the whole-table folds
+        /// they replaced after every op of a create / charge / release /
+        /// renew / terminate / expire / restore sequence, striped and not.
         #[test]
         fn file_charge_matches_the_all_lots_fold(
             ops in prop::collection::vec((0u8..7, 0usize..4, 1u64..300), 1..60),
@@ -1402,8 +1607,12 @@ mod tests {
                         }
                         _ => {}
                     }
-                    // The reference: the pre-`file_charge` fold over every lot.
+                    // The references: the folds over every cloned lot.
                     let lots = lm.all_lots();
+                    prop_assert_eq!(
+                        lm.occupancy(),
+                        (lots.iter().map(|l| l.used).sum::<u64>(), lots.len())
+                    );
                     for path in &paths {
                         let bytes = lots.iter().filter_map(|l| l.files.get(path)).sum();
                         let backed = lots
@@ -1416,6 +1625,70 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+
+        /// Replaying a snapshot plus the records of every later mutation,
+        /// each rendered from live state for the keys it touched, rebuilds
+        /// the live table byte for byte — through spans, evictions,
+        /// terminations and expiry.
+        #[test]
+        fn journal_replay_matches_live_state(
+            ops in prop::collection::vec((0u8..6, 0usize..4, 1u64..300), 1..60),
+        ) {
+            let paths: Vec<VPath> = (0..4).map(|i| vp(&format!("/f{i}"))).collect();
+            for shards in [1usize, 8] {
+                let lm = LotManager::with_shards(2000, ReclaimPolicy::Lru, shards);
+                lm.create(user("u0"), 300, 1000, 0).unwrap();
+                let base = lm.snapshot();
+                let mut journal = String::new();
+                let mut now = 0u64;
+                for &(op, i, n) in &ops {
+                    let who = ["u0", "u1"][i % 2];
+                    let nth = lm.all_lots().get(i).map(|l| l.id);
+                    let evicted = |id: LotId, ev: Evicted, out: &mut String| {
+                        let mut keys = vec![LotKey::Lot(id)];
+                        keys.extend(ev.lots.iter().map(|l| LotKey::Lot(*l)));
+                        keys.extend(ev.files.iter().map(LotKey::Path));
+                        lm.render_keys(&keys, out);
+                    };
+                    match (op, nth) {
+                        (0, _) => {
+                            if let Ok((id, ev)) = lm.create(user(who), n * 2, n / 4 + 1, now) {
+                                evicted(id, ev, &mut journal);
+                            }
+                        }
+                        (1, _) => {
+                            if let Ok(charged) = lm.charge_file(who, &no_groups(), &paths[i], n, now) {
+                                let mut keys = vec![LotKey::Path(&paths[i])];
+                                keys.extend(charged.into_iter().map(LotKey::Lot));
+                                lm.render_keys(&keys, &mut journal);
+                            }
+                        }
+                        (2, _) => {
+                            lm.release_file(&paths[i]);
+                            lm.render_keys(&[LotKey::Path(&paths[i])], &mut journal);
+                        }
+                        (3, Some(id)) if lm.renew(id, n, now).is_ok() => {
+                            lm.render_keys(&[LotKey::Lot(id)], &mut journal);
+                        }
+                        (4, Some(id)) => {
+                            if let Ok(ev) = lm.terminate(id) {
+                                evicted(id, ev, &mut journal);
+                            }
+                        }
+                        (5, _) => now += n / 4,
+                        _ => {}
+                    }
+                }
+                let replayed = LotManager::restore_with_shards(
+                    &format!("{base}{journal}"),
+                    2000,
+                    ReclaimPolicy::Lru,
+                    now,
+                    shards,
+                );
+                prop_assert_eq!(replayed.snapshot(), lm.snapshot(), "at {} shards", shards);
             }
         }
     }

@@ -12,7 +12,8 @@
 
 use crate::acl::{request_ad, AccessRight, AclEntry, AclTable, Principal};
 use crate::backend::{FileKind, FileStat, StorageBackend};
-use crate::lot::{Evicted, Lot, LotError, LotId, LotManager, LotOwner, ReclaimPolicy};
+use crate::lot::{Evicted, Lot, LotError, LotId, LotKey, LotManager, LotOwner, ReclaimPolicy};
+use crate::lot_journal::LotJournal;
 use crate::mem_tier::{MemTier, MemTierStats, PromotionTicket};
 use crate::namespace::{PathError, VPath};
 use nest_classad::{ClassAd, Value};
@@ -20,6 +21,7 @@ use nest_obs::{Counter, Gauge, Histogram, Obs};
 use nest_proto::request::NestError;
 use std::fmt;
 use std::io;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
@@ -156,6 +158,9 @@ pub fn system_clock() -> Clock {
 /// * `storage.lot.capacity_bytes` / `.guaranteed_bytes` /
 ///   `.committed_bytes` / `.count` — lot occupancy gauges, refreshed by
 ///   [`StorageManager::refresh_gauges`].
+/// * `storage.lot.journal.appends` / `.compactions` / `.corrupt_records`
+///   — lot-journal records written, snapshots rewritten, and complete
+///   records that failed their checksum at restart.
 struct StorageMetrics {
     meta_us: Arc<Histogram>,
     read_us: Arc<Histogram>,
@@ -167,6 +172,9 @@ struct StorageMetrics {
     lot_guaranteed: Arc<Gauge>,
     lot_committed: Arc<Gauge>,
     lot_count: Arc<Gauge>,
+    journal_appends: Arc<Counter>,
+    journal_compactions: Arc<Counter>,
+    journal_corrupt: Arc<Counter>,
 }
 
 impl StorageMetrics {
@@ -183,6 +191,9 @@ impl StorageMetrics {
             lot_guaranteed: m.gauge("storage.lot.guaranteed_bytes"),
             lot_committed: m.gauge("storage.lot.committed_bytes"),
             lot_count: m.gauge("storage.lot.count"),
+            journal_appends: m.counter("storage.lot.journal.appends"),
+            journal_compactions: m.counter("storage.lot.journal.compactions"),
+            journal_corrupt: m.counter("storage.lot.journal.corrupt_records"),
         }
     }
 }
@@ -207,6 +218,8 @@ pub struct StorageManager {
     tier: MemTier,
     /// Cache-model residency prediction for promotion decisions.
     residency_hint: Option<ResidencyHint>,
+    /// Where every lot mutation is journaled (disk-backed appliances).
+    journal: Option<LotJournal>,
 }
 
 impl StorageManager {
@@ -229,6 +242,7 @@ impl StorageManager {
             metrics: None,
             tier: MemTier::new(0),
             residency_hint: None,
+            journal: None,
         }
     }
 
@@ -259,7 +273,7 @@ impl StorageManager {
     }
 
     /// Sets the stripe count for the lot table (`1` = the single-mutex
-    /// ablation). Call before [`Self::with_lot_state`]; it rebuilds the
+    /// ablation). Call before [`Self::with_lot_store`]; it rebuilds the
     /// (still empty) lot table.
     pub fn with_shards(mut self, shards: usize) -> Self {
         let shards = shards.max(1);
@@ -269,19 +283,57 @@ impl StorageManager {
         self
     }
 
-    /// Restores lot state from a [`LotManager::snapshot`] taken by a
-    /// previous run — reservations must survive appliance restarts.
-    pub fn with_lot_state(mut self, snapshot: &str) -> Self {
-        let capacity = self.lots.total_capacity();
-        let now = (self.clock)();
+    /// Keeps the lot table at `store` (`<root>.lots`, with its journal
+    /// beside it) — reservations must survive appliance restarts. Restores
+    /// the table a previous run left there, from the snapshot plus every
+    /// intact journal record, then compacts once; from here on every lot
+    /// mutation is journaled before the method making it returns. Call
+    /// after [`Self::with_shards`] and [`Self::with_obs`].
+    pub fn with_lot_store(mut self, store: &Path) -> io::Result<Self> {
+        let (journal, recovered) = LotJournal::open(store)?;
         self.lots = LotManager::restore_with_shards(
-            snapshot,
-            capacity,
+            &recovered.text,
+            self.lots.total_capacity(),
             self.reclaim_policy,
-            now,
+            self.now(),
             self.shards,
         );
-        self
+        journal.compact(&self.lots)?;
+        if let Some(m) = &self.metrics {
+            m.journal_corrupt.add(recovered.corrupt_records);
+            m.journal_compactions.inc();
+        }
+        self.journal = Some(journal);
+        Ok(self)
+    }
+
+    /// Rewrites the lot snapshot and empties the journal (a no-op without
+    /// a lot store).
+    pub fn checkpoint_lots(&self) -> io::Result<()> {
+        let Some(journal) = &self.journal else {
+            return Ok(());
+        };
+        journal.compact(&self.lots)?;
+        if let Some(m) = &self.metrics {
+            m.journal_compactions.inc();
+        }
+        Ok(())
+    }
+
+    /// Appends the current state of `keys` to the lot journal (a no-op
+    /// without a lot store).
+    fn journal(&self, keys: &[LotKey<'_>]) -> io::Result<()> {
+        let Some(journal) = &self.journal else {
+            return Ok(());
+        };
+        let compacted = journal.append(&self.lots, keys)?;
+        if let Some(m) = &self.metrics {
+            m.journal_appends.inc();
+            if compacted {
+                m.journal_compactions.inc();
+            }
+        }
+        Ok(())
     }
 
     /// Replaces the clock (used by tests and the simulator).
@@ -375,7 +427,7 @@ impl StorageManager {
     /// Total bytes currently charged against lots (the ad's
     /// `LotBytesCommitted`).
     pub fn committed_bytes(&self) -> u64 {
-        self.lots.all_lots().iter().map(|l| l.used).sum()
+        self.lots.occupancy().0
     }
 
     /// Refreshes the lot-occupancy gauges from the lot manager. Cheap
@@ -385,11 +437,12 @@ impl StorageManager {
         let Some(m) = &self.metrics else {
             return;
         };
-        let now = self.now();
+        let (used, count) = self.lots.occupancy();
         m.lot_capacity.set(self.lots.total_capacity() as i64);
-        m.lot_guaranteed.set(self.lots.guaranteed(now) as i64);
-        m.lot_committed.set(self.committed_bytes() as i64);
-        m.lot_count.set(self.lots.all_lots().len() as i64);
+        m.lot_guaranteed
+            .set(self.lots.guaranteed(self.now()) as i64);
+        m.lot_committed.set(used as i64);
+        m.lot_count.set(count as i64);
     }
 
     /// Records a metadata-operation latency sample.
@@ -417,7 +470,9 @@ impl StorageManager {
         }
     }
 
-    fn apply_evictions(&self, evicted: &Evicted) {
+    /// Deletes what a lot operation on `lot` evicted, then journals `lot`
+    /// together with every lot and path the eviction touched.
+    fn apply_evictions(&self, lot: LotId, evicted: &Evicted) -> io::Result<()> {
         for path in &evicted.files {
             // Best-effort deletion of reclaimed files; a missing file only
             // means the client deleted it first. Any tier copy dies with
@@ -432,6 +487,12 @@ impl StorageManager {
             }
         }
         self.refresh_gauges();
+        let keys: Vec<LotKey<'_>> = std::iter::once(lot)
+            .chain(evicted.lots.iter().copied().filter(|id| *id != lot))
+            .map(LotKey::Lot)
+            .chain(evicted.files.iter().map(LotKey::Path))
+            .collect();
+        self.journal(&keys)
     }
 
     // -- directory / metadata operations (executed synchronously) ---------
@@ -579,6 +640,7 @@ impl StorageManager {
             self.tier.invalidate(path);
             if self.enforce_lots {
                 self.lots.release_file(path);
+                self.journal(&[LotKey::Path(path)])?;
             }
             Ok(())
         })();
@@ -618,9 +680,11 @@ impl StorageManager {
                 // lots; tolerate failure by restoring nothing (data is
                 // still within the user's total charge envelope).
                 let groups = who.groups.clone();
-                let _ = self
+                let charged = self
                     .lots
-                    .charge_file(&who.user, &groups, to, bytes, self.now());
+                    .charge_file(&who.user, &groups, to, bytes, self.now())
+                    .unwrap_or_default();
+                self.journal(&path_keys(&[from, to], &charged))?;
             }
         }
         Ok(())
@@ -639,19 +703,41 @@ impl StorageManager {
         size_hint: u64,
     ) -> Result<()> {
         let exists = self.backend.stat(path).is_ok();
-        if exists {
-            self.authorize(who, AccessRight::Write, path, protocol, "put")?;
-            // Overwrite semantics: the old version's charge is released
-            // before the new hint is charged, so an in-place overwrite of a
-            // lot-filling file succeeds.
-            if self.enforce_lots {
-                self.lots.release_file(path);
-            }
+        let right = if exists {
+            AccessRight::Write
         } else {
-            self.authorize(who, AccessRight::Insert, path, protocol, "put")?;
+            AccessRight::Insert
+        };
+        self.authorize(who, right, path, protocol, "put")?;
+        let r = self.put_admitted(who, path, size_hint, exists);
+        // The old charge may be gone even when the new one failed.
+        let journaled = if self.enforce_lots {
+            let charged = r.as_deref().unwrap_or_default();
+            self.journal(&path_keys(&[path], charged))
+        } else {
+            Ok(())
+        };
+        r.map(drop).and(journaled.map_err(StorageError::Io))
+    }
+
+    /// [`Self::begin_put`] past its ACL check; returns the lots charged.
+    fn put_admitted(
+        &self,
+        who: &Principal,
+        path: &VPath,
+        size_hint: u64,
+        exists: bool,
+    ) -> Result<Vec<LotId>> {
+        // Overwrite semantics: the old version's charge is released before
+        // the new hint is charged, so an in-place overwrite of a
+        // lot-filling file succeeds.
+        if exists && self.enforce_lots {
+            self.lots.release_file(path);
         }
+        let mut charged = Vec::new();
         if self.enforce_lots && size_hint > 0 {
-            self.lots
+            charged = self
+                .lots
                 .charge_file(&who.user, &who.groups, path, size_hint, self.now())?;
         }
         if exists {
@@ -664,7 +750,7 @@ impl StorageManager {
         }
         // The name now means new bytes: any resident tier copy is dead.
         self.tier.invalidate(path);
-        Ok(())
+        Ok(charged)
     }
 
     /// Aborts an admitted PUT whose transfer failed: best-effort removal of
@@ -679,6 +765,7 @@ impl StorageManager {
         self.tier.invalidate(path);
         if self.enforce_lots {
             self.lots.release_file(path);
+            let _ = self.journal(&[LotKey::Path(path)]);
         }
         self.refresh_gauges();
     }
@@ -690,6 +777,26 @@ impl StorageManager {
         let r = self.backend.truncate(path, 0);
         self.tier.invalidate(path);
         Ok(r?)
+    }
+
+    /// Sets a file's size (NFS SETATTR): checks the Write right,
+    /// truncates, then drops any tier copy. Truncating to zero releases
+    /// the file's lot charge.
+    pub fn truncate(&self, who: &Principal, protocol: &str, path: &VPath, size: u64) -> Result<()> {
+        self.authorize(who, AccessRight::Write, path, protocol, "truncate")?;
+        self.backend.truncate(path, size)?;
+        self.tier.invalidate(path);
+        if size == 0 && self.enforce_lots {
+            self.lots.release_file(path);
+            self.journal(&[LotKey::Path(path)])?;
+        }
+        Ok(())
+    }
+
+    /// Admits a write into part of an existing file (an NFS block write):
+    /// checks the Write right. [`Self::write_chunk`] then charges growth.
+    pub fn begin_write(&self, who: &Principal, protocol: &str, path: &VPath) -> Result<()> {
+        self.authorize(who, AccessRight::Write, path, protocol, "write")
     }
 
     /// Admits a read of part of a file (an NFS block read): checks the
@@ -746,13 +853,14 @@ impl StorageManager {
             if new_end > current {
                 let (charged, _) = self.lots.file_charge(path, self.now());
                 if new_end > charged {
-                    self.lots.charge_file(
+                    let lots = self.lots.charge_file(
                         &who.user,
                         &who.groups,
                         path,
                         new_end - charged,
                         self.now(),
                     )?;
+                    self.journal(&path_keys(&[path], &lots))?;
                 }
             }
         }
@@ -799,7 +907,7 @@ impl StorageManager {
     /// users" (including the anonymous user backing NFS/HTTP/FTP writes).
     pub fn admin_grant_lot(&self, owner: LotOwner, capacity: u64, duration: u64) -> Result<LotId> {
         let (id, evicted) = self.lots.create(owner, capacity, duration, self.now())?;
-        self.apply_evictions(&evicted);
+        self.apply_evictions(id, &evicted)?;
         Ok(id)
     }
 
@@ -815,7 +923,7 @@ impl StorageManager {
             duration,
             self.now(),
         )?;
-        self.apply_evictions(&evicted);
+        self.apply_evictions(id, &evicted)?;
         Ok(id)
     }
 
@@ -836,22 +944,22 @@ impl StorageManager {
             duration,
             self.now(),
         )?;
-        self.apply_evictions(&evicted);
+        self.apply_evictions(id, &evicted)?;
         Ok(id)
     }
 
     /// Renews a lot the caller may use.
     pub fn lot_renew(&self, who: &Principal, id: LotId, extra: u64) -> Result<()> {
         self.check_lot_owner(who, id)?;
-        Ok(self.lots.renew(id, extra, self.now())?)
+        self.lots.renew(id, extra, self.now())?;
+        Ok(self.journal(&[LotKey::Lot(id)])?)
     }
 
     /// Terminates a lot the caller may use, deleting its files.
     pub fn lot_terminate(&self, who: &Principal, id: LotId) -> Result<()> {
         self.check_lot_owner(who, id)?;
         let evicted = self.lots.terminate(id)?;
-        self.apply_evictions(&evicted);
-        Ok(())
+        Ok(self.apply_evictions(id, &evicted)?)
     }
 
     /// Stats a lot.
@@ -926,6 +1034,17 @@ impl StorageManager {
         );
         ad
     }
+}
+
+/// Journal keys for `paths` and the lots a charge of them stamped: a
+/// charge changes its lots' `last_access` even when a racing release
+/// leaves the path backed by none of them.
+fn path_keys<'a>(paths: &[&'a VPath], charged: &[LotId]) -> Vec<LotKey<'a>> {
+    paths
+        .iter()
+        .map(|p| LotKey::Path(p))
+        .chain(charged.iter().copied().map(LotKey::Lot))
+        .collect()
 }
 
 #[cfg(test)]

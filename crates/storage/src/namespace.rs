@@ -79,7 +79,9 @@ impl VPath {
                     }
                 }
                 c => {
-                    if c.bytes().any(|b| b == 0) {
+                    // NUL ends a host path; CR/LF would split a line of
+                    // the persisted lot table.
+                    if c.bytes().any(|b| matches!(b, 0 | b'\n' | b'\r')) {
                         return Err(PathError::BadComponent(c.to_owned()));
                     }
                     components.push(c.to_owned());
@@ -189,10 +191,9 @@ mod tests {
 
     #[test]
     fn nul_byte_rejected() {
-        assert!(matches!(
-            VPath::parse("/a\0b"),
-            Err(PathError::BadComponent(_))
-        ));
+        for raw in ["/a\0b", "/a\nlot 9 user x 1 1 1", "/a\rb"] {
+            assert!(matches!(VPath::parse(raw), Err(PathError::BadComponent(_))));
+        }
     }
 
     #[test]
