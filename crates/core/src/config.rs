@@ -159,9 +159,9 @@ pub struct NestConfig {
     /// the appliance's `FrontRegistry` at start, in order. Each factory
     /// receives the dispatcher and returns the front to serve.
     pub extra_fronts: Vec<ExtraFront>,
-    /// Stripe count for the appliance's sharded tables (lot table, quota
-    /// table, handle cache, fh table, session live registry, transfer
-    /// stats). `1` selects the single-mutex ablation — the pre-sharding
+    /// Stripe count for the appliance's sharded tables: the NFS
+    /// file-handle table, the session live registry and the transfer
+    /// stats. `1` selects the single-mutex ablation — the pre-sharding
     /// serialization points, for the scale bench baseline. Default: 8.
     pub shards: usize,
 }

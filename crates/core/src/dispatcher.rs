@@ -138,8 +138,7 @@ impl Dispatcher {
             Some(path) if path.exists() => load_acls(path)?,
             _ => AclTable::open_by_default(),
         };
-        let mut storage = StorageManager::new(backend, acl, config.capacity, config.reclaim)
-            .with_shards(config.shards.max(1));
+        let mut storage = StorageManager::new(backend, acl, config.capacity, config.reclaim);
         if !config.enforce_lots {
             storage = storage.with_lots_disabled();
         }

@@ -309,6 +309,29 @@ fn a_lot_table_written_before_the_journal_restores_unchanged() {
     let _ = std::fs::remove_dir_all(root.parent().unwrap());
 }
 
+/// A `.lots` line that does not parse is skipped, but counted and logged
+/// as a corrupt record: the other lots restore, and the loss shows.
+#[test]
+fn an_unparseable_lot_table_line_is_counted_and_the_rest_restores() {
+    let root = scratch_root("garbage");
+    let table = "lot 1 user anonymous 1048576 4102444800 1760000000\n\
+                 file 1 100 /a\n\
+                 lot 2 user bob 2048 41024448OO 1760000005\n\
+                 lot 3 group wind 2048 4102444800 1760000005\n\
+                 file 3 10 /g\n";
+    std::fs::write(sibling(&root, ".lots"), table).unwrap();
+    let d = Dispatcher::new(&disk_config(&root, 1 << 24)).unwrap();
+    let lm = d.storage().lot_manager();
+    let ids: Vec<u64> = lm.all_lots().iter().map(|l| l.id.0).collect();
+    assert_eq!(ids, [1, 3]);
+    assert_eq!(lm.stat(LotId(1)).unwrap().used, 100);
+    assert_eq!(lm.stat(LotId(3)).unwrap().used, 10);
+    let stats = d.metrics_snapshot();
+    assert_eq!(stats.count("storage.lot.journal.corrupt_records"), 1);
+    d.shutdown();
+    let _ = std::fs::remove_dir_all(root.parent().unwrap());
+}
+
 /// An ACL table cut mid-line could have lost a deny entry: the appliance
 /// refuses to start rather than run with a weaker table.
 #[test]

@@ -28,7 +28,7 @@
 //! | `atomic-ordering` | bare `Ordering::Relaxed` outside the stats module (`crates/obs/src/metrics.rs`) — every relaxed access elsewhere carries a reasoned `nestlint: allow(atomic-ordering)` explaining why no synchronization rides on it |
 //! | `sharded-bypass` | direct shard-cell access (`.lock_idx(` / `.shard_cell(`) in a file that does not itself declare a `ShardedMutex<` — the wrapper module owns the ascending-index discipline; outside callers go through its API |
 //! | `lock-rank` | a lock class literal (`Mutex::named` / `RwLock::named` / `Condvar::named` / `ShardedMutex::new`) missing from DESIGN.md's rank table, or a rank-table class no code constructs (`model.*` / `test.*` harness classes are exempt) |
-//! | `lot-bypass` | a `LotManager` mutator (`charge_file`, `release_file`, `create`, `renew`, `terminate`) called on the appliance's table (`lot_manager()`, or a binding of it) outside `crates/storage`, where every lot mutation is journaled; and `fs::write(` in `crates/core` or `crates/storage`, whose persistent state goes through the lot journal or `atomic_replace` |
+//! | `lot-bypass` | a `LotManager` mutator (`charge_file`, `charge_file_to`, `release_file`, `create`, `renew`, `terminate`) called on the appliance's table (`lot_manager()`, or a binding of it) outside `crates/storage`, where every lot mutation is journaled; and `fs::write(` in `crates/core` or `crates/storage`, whose persistent state goes through the lot journal or `atomic_replace` |
 //!
 //! ## Suppression
 //!
@@ -99,8 +99,9 @@ pub const RULES: &[&str] = &[
 ];
 
 /// `LotManager` methods that change the lot table.
-const LOT_MUTATORS: [&str; 5] = [
+const LOT_MUTATORS: [&str; 6] = [
     "charge_file",
+    "charge_file_to",
     "release_file",
     "create",
     "renew",
@@ -975,12 +976,13 @@ mod tests {
                    let id = sm.lot_manager()\n\
                    .create(owner, 1, 1, 0)?;\n\
                    std::fs::write(path, snapshot);\n\
+                   lm.charge_file_to(\"u\", &g, &p, end, 0)?;\n\
                    }\n";
         let v = scan_source("crates/core/src/handlers/nfs.rs", src, DESIGN);
-        assert_eq!(rules_of(&v), vec!["lot-bypass"; 4]);
+        assert_eq!(rules_of(&v), vec!["lot-bypass"; 5]);
         assert_eq!(
             v.iter().map(|v| v.line).collect::<Vec<_>>(),
-            vec![2, 4, 7, 8]
+            vec![2, 4, 7, 8, 9]
         );
         // The storage crate owns the table and journals its mutations...
         let mutators = "fn f(&self) { self.lots.release_file(p); lm.terminate(id); }\n";

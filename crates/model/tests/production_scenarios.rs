@@ -9,8 +9,9 @@
 //! | handle cache        | `storage.handle_cache.state` epoch guard       |
 //! | memory tier         | `storage.memtier` promote vs. invalidate       |
 //! | session admission   | lock-free `active` counter protocol            |
-//! | striped lot table   | `storage.lot` cells + sloppy `committed` bound |
-//! | lot journal         | `storage.lot.journal` append order vs. cells   |
+//! | lot table           | `storage.lot` charge vs. release vs. reclaim   |
+//! | growing writes      | `storage.lot` charge-to-end in `write_chunk`   |
+//! | lot journal         | `storage.lot.journal` append order vs. table   |
 //! | sharded live map    | striped registry walk vs. self-removal         |
 //!
 //! Every schedule executes the real crate code; the `invariant!`
@@ -282,39 +283,35 @@ fn session_admission_never_overshoots_cap() {
     assert!(report.failure.is_none());
 }
 
-/// Striped-lot byte conservation (`storage.lot` over two cells): a
-/// charge into the active lot (per-cell fast path), a release of an
-/// earlier charge (peek-then-widen cross-cell path), and an admission
-/// that fails the sloppy `committed` CAS and must take the all-cells
-/// reclaim path — evicting the expired best-effort lot — all race.
+/// Lot-table byte conservation (`storage.lot`, one lock): a charge into
+/// the active lot, a release of an earlier charge, and an admission that
+/// only fits once the expired best-effort lot is reclaimed all race.
 /// Under every interleaving the global promise invariant
 /// Σ active capacities + Σ best-effort used ≤ total capacity holds, the
 /// charge and release each land exactly once, and reclamation removes
 /// exactly the expired victim.
 #[test]
-fn striped_lot_charge_release_evict_conserves_bytes() {
+fn lot_charge_release_evict_conserves_bytes() {
     use nest_storage::lot::{LotManager, LotOwner, ReclaimPolicy};
     use nest_storage::VPath;
     use std::collections::HashSet;
 
     let report = check(&Config::exhaustive(), || {
-        // Two cells; lot ids start at 1 and map to cells by `id % 2`.
-        let mgr = Arc::new(LotManager::with_shards(100, ReclaimPolicy::ExpiredFirst, 2));
+        let mgr = Arc::new(LotManager::new(100, ReclaimPolicy::ExpiredFirst));
         let f0 = VPath::parse("/model/f0").expect("valid vpath");
         let f1 = VPath::parse("/model/f1").expect("valid vpath");
         let f2 = VPath::parse("/model/f2").expect("valid vpath");
         let no_groups = HashSet::new();
 
-        // Lot 1 (cell 1): active for user "u", pre-charged 5 bytes (f0).
-        // Lot 2 (cell 0): expires at t=1 holding 25 bytes (f2) — the
-        // best-effort reclaim victim once the clock reads 10.
+        // Lot 1: active for user "u", pre-charged 5 bytes (f0).
+        // Lot 2: expires at t=1 holding 25 bytes (f2) — the best-effort
+        // reclaim victim once the clock reads 10.
         let (active_id, _) = mgr
             .create(LotOwner::User("u".into()), 40, 1000, 0)
             .expect("active lot");
         let (victim_id, _) = mgr
             .create(LotOwner::User("v".into()), 40, 1, 0)
             .expect("victim lot");
-        assert_eq!((active_id.0 % 2, victim_id.0 % 2), (1, 0));
         mgr.charge_file("u", &no_groups, &f0, 5, 0)
             .expect("seed f0");
         mgr.charge_file("v", &no_groups, &f2, 25, 0)
@@ -330,9 +327,8 @@ fn striped_lot_charge_release_evict_conserves_bytes() {
             let f0 = f0.clone();
             thread::spawn(move || mgr.release_file(&f0))
         };
-        // committed = 80, so the 55-byte CAS fast path cannot admit;
-        // the slow path holds every cell, reclaims lot 2 (expired, 25
-        // used), and recomputes the exact bound.
+        // 40 active + 25 best-effort + 55 > 100: the admission must
+        // reclaim lot 2 (expired, 25 used) to fit.
         let admitter = {
             let mgr = Arc::clone(&mgr);
             thread::spawn(move || mgr.create(LotOwner::User("w".into()), 55, 1000, 10))
@@ -365,8 +361,60 @@ fn striped_lot_charge_release_evict_conserves_bytes() {
         assert_eq!(active.used, 30, "f0 released and f1 charged exactly once");
         assert!(!lots.iter().any(|l| l.id == victim_id), "victim is gone");
     });
+    eprintln!("lot_charge_release_evict_conserves_bytes: {report:?}");
     assert!(report.complete, "exploration hit a budget: {report:?}");
     assert!(report.failure.is_none());
+}
+
+/// Two NFS-style block writes grow one file through
+/// `StorageManager::write_chunk`, at offsets 0 and 8 KiB. Each charges
+/// the file's lots for its growth; however the two stats, charges and
+/// backend writes interleave, the lot ends up charged exactly the final
+/// file size — reading the charge and adding to it in two lot-table
+/// calls lets both writes see a charge of 0 and charge 24 KiB for a
+/// 16 KiB file.
+#[test]
+fn racing_growing_writes_charge_the_final_size() {
+    use nest_storage::lot::ReclaimPolicy;
+    use nest_storage::{AclTable, MemBackend, Principal, StorageManager, VPath};
+
+    let report = check(&Config::exhaustive(), || {
+        let sm = Arc::new(StorageManager::new(
+            Arc::new(MemBackend::new()),
+            AclTable::open_by_default(),
+            1 << 20,
+            ReclaimPolicy::ExpiredFirst,
+        ));
+        let who = Principal::user("u");
+        let path = VPath::parse("/grown").expect("valid vpath");
+        let lot = sm.lot_create(&who, 1 << 16, 3600).expect("lot");
+        sm.begin_put(&who, "nfs", &path, 0).expect("create");
+
+        let writers: Vec<_> = [0u64, 8192]
+            .into_iter()
+            .map(|offset| {
+                let (sm, who, path) = (Arc::clone(&sm), who.clone(), path.clone());
+                thread::spawn(move || {
+                    sm.write_chunk(&who, &path, offset, &[7; 8192])
+                        .expect("write fits the lot")
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join();
+        }
+
+        let size = sm.stat(&who, "nfs", &path).expect("stat").size;
+        assert_eq!(size, 16384);
+        let used = sm.lot_stat(&who, lot).expect("lot").used;
+        assert_eq!(
+            used, size,
+            "the lot holds {used} bytes for a {size}-byte file"
+        );
+    });
+    eprintln!("racing_growing_writes_charge_the_final_size: {report:?}");
+    assert!(report.complete, "exploration hit a budget: {report:?}");
+    assert!(report.failure.is_none(), "{report:?}");
 }
 
 /// The lot journal's ordering rule (DESIGN §18): one thread charges a
@@ -391,11 +439,7 @@ fn lot_journal_replay_matches_live_state_under_racing_appends() {
     let report = check(&Config::exhaustive(), move || {
         let store = scratch.join(format!("{}.lots", runs.fetch_add(1, Ordering::SeqCst)));
         let (journal, _) = LotJournal::open(&store).expect("open journal");
-        let lots = Arc::new(LotManager::with_shards(
-            1000,
-            ReclaimPolicy::ExpiredFirst,
-            1,
-        ));
+        let lots = Arc::new(LotManager::new(1000, ReclaimPolicy::ExpiredFirst));
         let path = VPath::parse("/model/f").expect("valid vpath");
         lots.create(LotOwner::User("u".into()), 100, 1000, 0)
             .expect("lot");
@@ -430,19 +474,15 @@ fn lot_journal_replay_matches_live_state_under_racing_appends() {
         releaser.join();
 
         let (_, recovered) = LotJournal::open(&store).expect("reopen journal");
-        let replayed = LotManager::restore_with_shards(
-            &recovered.text,
-            1000,
-            ReclaimPolicy::ExpiredFirst,
-            1,
-            1,
-        );
+        let (replayed, _) =
+            LotManager::restore(&recovered.text, 1000, ReclaimPolicy::ExpiredFirst, 1);
         assert_eq!(
             replayed.snapshot(),
             lots.snapshot(),
             "the journal's last record for the path is not its newest state"
         );
     });
+    eprintln!("lot_journal_replay_matches_live_state_under_racing_appends: {report:?}");
     assert!(report.complete, "exploration hit a budget: {report:?}");
     assert!(report.failure.is_none());
     std::fs::remove_dir_all(&dir).ok();

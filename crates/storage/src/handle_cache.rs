@@ -142,9 +142,8 @@ pub enum Lookup {
     Miss { epoch: u64 },
 }
 
-/// Default stripe count for the hot lookup path (matching the storage
-/// layer's [`crate::lot::DEFAULT_LOT_SHARDS`]).
-pub const DEFAULT_HANDLE_CACHE_SHARDS: usize = crate::lot::DEFAULT_LOT_SHARDS;
+/// Default stripe count for the hot lookup path.
+pub const DEFAULT_HANDLE_CACHE_SHARDS: usize = 8;
 
 impl HandleCache {
     /// Creates a cache bounding open descriptors to `capacity` (raised to

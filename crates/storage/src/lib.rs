@@ -18,14 +18,14 @@
 //!   identically across every protocol.
 //! * [`lot`] — storage-space guarantees: a *lot* has an owner, capacity,
 //!   duration and a set of files; expired lots become *best-effort* (their
-//!   files linger until space is reclaimed for new lots).
+//!   files linger until space is reclaimed for new lots). The paper built
+//!   lots on kernel quotas; here the lot table itself does the accounting,
+//!   charging every write against the writer's lots at user level.
 //! * [`lot_journal`] — lot state that survives a crash: a snapshot file
 //!   plus an append-only, checksummed journal of every lot mutation.
 //! * [`mem_tier`] — the actuating memory tier: a bounded, lot-aware RAM
 //!   cache under the manager, promoting hot objects so they serve at
 //!   memory speed regardless of OS page-cache churn.
-//! * [`quota`] — the user-level quota accounting on which lots are
-//!   implemented, mirroring the paper's use of the kernel quota system.
 //! * [`manager`] — the [`manager::StorageManager`] façade the dispatcher
 //!   calls: synchronous, serialized execution of all non-transfer requests.
 //!
@@ -40,7 +40,6 @@ pub mod lot_journal;
 pub mod manager;
 pub mod mem_tier;
 pub mod namespace;
-pub mod quota;
 
 pub use acl::{AccessRight, AclEntry, AclTable, Principal};
 pub use backend::{FileKind, FileStat, LocalFsBackend, MemBackend, ReadLease, StorageBackend};
@@ -50,4 +49,3 @@ pub use lot_journal::{atomic_replace, LotJournal};
 pub use manager::{ObjectEntry, ObjectListing, StorageError, StorageManager};
 pub use mem_tier::{MemTier, MemTierStats};
 pub use namespace::{PathError, VPath};
-pub use quota::QuotaTable;

@@ -15,10 +15,9 @@
 //! real clock and under the simulation substrate.
 
 use crate::namespace::VPath;
-use parking_lot::{shard_hash, MutexGuard, ShardedMutex};
-use std::collections::{BTreeMap, HashMap};
+use parking_lot::Mutex;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::{self, Write as _};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A lot identifier, unique within one NeST.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -41,7 +40,7 @@ pub enum LotOwner {
 
 impl LotOwner {
     /// True when `user` (with `groups` memberships) may use this lot.
-    pub fn usable_by(&self, user: &str, groups: &std::collections::HashSet<String>) -> bool {
+    pub fn usable_by(&self, user: &str, groups: &HashSet<String>) -> bool {
         match self {
             LotOwner::User(u) => u == user,
             LotOwner::Group(g) => groups.contains(g),
@@ -164,132 +163,49 @@ pub enum LotKey<'a> {
     Path(&'a VPath),
 }
 
-/// Default stripe count for the lot table (and the other sharded tables
-/// that follow its lead). `1` is the seed-equivalent ablation.
-pub const DEFAULT_LOT_SHARDS: usize = 8;
-
-/// The lot table and its accounting, striped over N cells keyed by lot
-/// id (cell `id % N`); each file's span record lives in the cell its
-/// *path* hashes to, so the per-chunk hot paths (`charge_file`,
-/// `release_file`, `touch_file`, `stat`) lock only the cells they touch.
+/// The lot table and its accounting, behind one `storage.lot` lock.
 ///
-/// Cross-cell discipline (all cells share the one `storage.lot` class):
-/// * multi-cell operations lock cells in **ascending index order**;
-/// * the owner index (`storage.lot.owners`, rank 303) is only ever
-///   locked *after* cells, or alone — `charge_file` reads it and drops
-///   the guard before touching any cell;
-/// * `committed` is a **sloppy upper bound** on Σ active capacities +
-///   Σ best-effort used. Silent expiry only converts an active lot's
-///   contribution from `capacity` to `used ≤ capacity`, so a counter
-///   that is never decremented outside the all-cells slow path stays
-///   ≥ the true commitment — a CAS-add admission against it can admit a
-///   lot the true state couldn't hold only if the counter were *under*
-///   the truth, which it never is. Ops that hold every cell (create's
-///   reclaim path, terminate, renew, restore) recompute it exactly; the
-///   error is therefore bounded by the bytes expired-or-released since
-///   the last all-cells operation, and errs only toward refusing the
-///   fast path.
+/// Every public method takes the lock once, so it reads and leaves one
+/// consistent table: admission computes the commitment exactly, and a
+/// journal record renders all its keys as of one instant.
 ///
 /// Invariants (checked under `nest_check::enforcing()`):
 /// * Σ active capacities + Σ best-effort used ≤ total capacity — every
-///   active lot can always be filled to its capacity (verified on the
-///   all-cells paths; per-cell paths verify the per-lot invariants of
-///   every lot they touch);
+///   active lot can always be filled to its capacity;
 /// * each lot's `used` equals the sum of its per-file allocations;
 /// * a lot's `used` never exceeds its `capacity`.
 pub struct LotManager {
     total_capacity: u64,
     policy: ReclaimPolicy,
-    /// Never reused; monotonic. Allocation order still gives rising ids.
-    next_id: AtomicU64,
-    /// Sloppy upper bound on Σ active capacities + Σ best-effort used;
-    /// see the struct docs for the safety argument.
-    committed: AtomicU64,
-    cells: ShardedMutex<LotCell>,
-    /// owner key (`user:<u>` / `group:<g>`) → lot ids, so `charge_file`
-    /// finds a user's lots without scanning every cell. Maintained under
-    /// the owning lot's cell lock; readers re-validate under cell locks.
-    owners: ShardedMutex<HashMap<String, Vec<LotId>>>,
+    table: Mutex<LotTable>,
 }
 
-/// One stripe of the lot table.
-struct LotCell {
-    /// Lots whose id maps here (`id % shards`).
+/// Everything behind the lock.
+struct LotTable {
     lots: HashMap<LotId, Lot>,
-    /// Span records for files whose *path* hashes here (orders spans for
-    /// release). A span's lots may live in other cells.
-    file_spans: HashMap<VPath, Vec<LotId>>,
-}
-
-fn owner_key(owner: &LotOwner) -> String {
-    owner.to_string()
+    /// The lots holding a charge of each path, in charge order.
+    spans: HashMap<VPath, Vec<LotId>>,
+    /// Each owner's lots, so a charge finds them without a scan.
+    owners: HashMap<LotOwner, Vec<LotId>>,
+    /// The next id to hand out. Ids only grow while the table lives, and a
+    /// refused creation still takes one; a restore starts after the
+    /// highest id it replays.
+    next_id: u64,
 }
 
 impl LotManager {
-    /// Creates a manager over `total_capacity` bytes of physical storage
-    /// with the default stripe count.
+    /// Creates a manager over `total_capacity` bytes of physical storage.
     pub fn new(total_capacity: u64, policy: ReclaimPolicy) -> Self {
-        Self::with_shards(total_capacity, policy, DEFAULT_LOT_SHARDS)
-    }
-
-    /// Creates a manager with an explicit stripe count (`1` = the
-    /// single-mutex ablation).
-    pub fn with_shards(total_capacity: u64, policy: ReclaimPolicy, shards: usize) -> Self {
+        let table = LotTable {
+            lots: HashMap::new(),
+            spans: HashMap::new(),
+            owners: HashMap::new(),
+            next_id: 1,
+        };
         Self {
             total_capacity,
             policy,
-            next_id: AtomicU64::new(1),
-            committed: AtomicU64::new(0),
-            cells: ShardedMutex::new("storage.lot", 300, shards, |_| LotCell {
-                lots: HashMap::new(),
-                file_spans: HashMap::new(),
-            }),
-            owners: ShardedMutex::new("storage.lot.owners", 303, shards, |_| HashMap::new()),
-        }
-    }
-
-    /// Stripe count.
-    pub fn shards(&self) -> usize {
-        self.cells.shards()
-    }
-
-    /// The cell a lot id maps to.
-    fn cell_of(&self, id: LotId) -> usize {
-        (id.0 % self.cells.shards() as u64) as usize
-    }
-
-    /// The cell a file path's span record maps to.
-    fn cell_of_path(&self, path: &VPath) -> usize {
-        self.cells.shard_for(shard_hash(path))
-    }
-
-    /// Locks the given cells in ascending index order (deduplicated).
-    fn lock_cells(&self, mut idxs: Vec<usize>) -> Vec<(usize, MutexGuard<'_, LotCell>)> {
-        idxs.sort_unstable();
-        idxs.dedup();
-        idxs.into_iter()
-            .map(|i| (i, self.cells.lock_idx(i)))
-            .collect()
-    }
-
-    /// Adds `id` under `key` in the owner index. Callers hold the lot's
-    /// cell, so the cells → owners order (ranks 300 → 303) is preserved.
-    fn owner_add(&self, key: &str, id: LotId) {
-        self.owners
-            .lock(shard_hash(key))
-            .entry(key.to_owned())
-            .or_default()
-            .push(id);
-    }
-
-    /// Removes `id` under `key` in the owner index (same ordering note).
-    fn owner_remove(&self, key: &str, id: LotId) {
-        let mut g = self.owners.lock(shard_hash(key));
-        if let Some(ids) = g.get_mut(key) {
-            ids.retain(|l| *l != id);
-            if ids.is_empty() {
-                g.remove(key);
-            }
+            table: Mutex::named("storage.lot", 300, table),
         }
     }
 
@@ -299,46 +215,24 @@ impl LotManager {
     }
 
     /// Sum of active (unexpired) lot capacities — space that is promised.
-    /// Cells are read one at a time; concurrent mutators make this a
-    /// sloppy (but quiescently exact) gauge, which is all its consumers
-    /// (ads, stats surfaces) need.
     pub fn guaranteed(&self, now: u64) -> u64 {
-        self.cells
-            .for_each_cell(|_, c| {
-                c.lots
-                    .values()
-                    .filter(|l| !l.is_expired(now))
-                    .map(|l| l.capacity)
-                    .sum::<u64>()
-            })
-            .into_iter()
-            .sum()
+        self.table.lock().committed(now).0
     }
 
-    /// Space available for new guarantees after maximal reclamation
-    /// (sloppy, like [`LotManager::guaranteed`]).
+    /// Space available for new guarantees after maximal reclamation.
     pub fn reservable(&self, now: u64) -> u64 {
         self.total_capacity.saturating_sub(self.guaranteed(now))
     }
 
-    /// Σ `used` over every lot, and the number of lots: one cell at a
-    /// time, cloning nothing (sloppy, like [`LotManager::guaranteed`]).
+    /// Σ `used` over every lot, and the number of lots, cloning nothing.
     pub(crate) fn occupancy(&self) -> (u64, usize) {
-        self.cells
-            .for_each_cell(|_, c| (c.lots.values().map(|l| l.used).sum::<u64>(), c.lots.len()))
-            .into_iter()
-            .fold((0, 0), |(used, n), (u, k)| (used + u, n + k))
+        let t = self.table.lock();
+        (t.lots.values().map(|l| l.used).sum(), t.lots.len())
     }
 
     /// Creates a lot of `capacity` bytes lasting `duration` seconds,
     /// reclaiming best-effort lots if needed. Returns the new lot id and
     /// any evictions the caller must apply to the backend.
-    ///
-    /// Fast path: a CAS-add against the sloppy `committed` upper bound
-    /// admits the lot touching only its own cell. The CAS runs while the
-    /// cell is held, so the all-cells slow path (which excludes every
-    /// cell holder) can never observe a reservation that is not yet in a
-    /// cell — that is what makes its exact recomputation safe to store.
     pub fn create(
         &self,
         owner: LotOwner,
@@ -346,205 +240,95 @@ impl LotManager {
         duration: u64,
         now: u64,
     ) -> Result<(LotId, Evicted), LotError> {
-        // Monotonic id tick; uniqueness is all that is required.
-        // nestlint: allow(atomic-ordering): nothing synchronizes on it
-        let id = LotId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        {
-            let mut cell = self.cells.lock_idx(self.cell_of(id));
-            // `committed` is a sloppy upper bound; the cell lock held
-            // across the CAS provides the ordering (see struct docs).
-            // nestlint: allow(atomic-ordering): ordered by the cell lock
-            let mut c = self.committed.load(Ordering::Relaxed);
-            loop {
-                if c.saturating_add(capacity) > self.total_capacity {
-                    break; // sloppy bound says full: take the exact path
-                }
-                match self.committed.compare_exchange_weak(
-                    c,
-                    c + capacity,
-                    // nestlint: allow(atomic-ordering): see the load above.
-                    Ordering::Relaxed,
-                    // nestlint: allow(atomic-ordering): see the load above.
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        let key = owner_key(&owner);
-                        cell.lots.insert(
-                            id,
-                            Lot {
-                                id,
-                                owner,
-                                capacity,
-                                expires_at: now.saturating_add(duration),
-                                used: 0,
-                                last_access: now,
-                                files: BTreeMap::new(),
-                            },
-                        );
-                        self.owner_add(&key, id);
-                        cell.debug_assert_cell_invariants();
-                        return Ok((id, Evicted::default()));
-                    }
-                    Err(v) => c = v,
-                }
-            }
-        }
-        self.create_slow(id, owner, capacity, duration, now)
-    }
-
-    /// The exact admission path: hold every cell, reclaim best-effort
-    /// lots until the new one fits, and store the recomputed `committed`.
-    fn create_slow(
-        &self,
-        id: LotId,
-        owner: LotOwner,
-        capacity: u64,
-        duration: u64,
-        now: u64,
-    ) -> Result<(LotId, Evicted), LotError> {
-        let mut guards: Vec<(usize, MutexGuard<'_, LotCell>)> =
-            self.cells.lock_all().into_iter().enumerate().collect();
-        let (active_cap, best_used) = committed_parts(&guards, now);
-        // Reclaiming every best-effort lot frees at most `best_used`, so a
-        // lot that would not fit even then is refused before any victim
-        // is evicted: a failed creation changes nothing.
-        if active_cap.saturating_add(capacity) > self.total_capacity {
-            // The failed admission still knows the exact state: correct
-            // the sloppy bound before reporting.
-            self.committed
-                // nestlint: allow(atomic-ordering): all cells held
-                .store(active_cap + best_used, Ordering::Relaxed);
+        let mut t = self.table.lock();
+        let id = LotId(t.next_id);
+        t.next_id += 1;
+        // Reclaiming every best-effort lot frees at most their used bytes,
+        // so a lot that would not fit even then is refused before any
+        // victim is evicted: a failed creation changes nothing but the
+        // id counter.
+        let (active, _) = t.committed(now);
+        if active.saturating_add(capacity) > self.total_capacity {
             return Err(LotError::InsufficientSpace {
                 requested: capacity,
-                available: self.total_capacity.saturating_sub(active_cap),
+                available: self.total_capacity.saturating_sub(active),
             });
         }
         let mut evicted = Evicted::default();
-        let (active_cap, best_used) = loop {
-            let (active_cap, best_used) = committed_parts(&guards, now);
-            if active_cap + best_used + capacity <= self.total_capacity {
-                break (active_cap, best_used);
+        loop {
+            let (active, best_effort) = t.committed(now);
+            if active + best_effort + capacity <= self.total_capacity {
+                break;
             }
-            let victim = self
-                .pick_victim(&guards, now)
+            let victim = t
+                .victim(self.policy, now)
                 .expect("a best-effort lot remains while best-effort bytes do");
-            self.evict_locked(&mut guards, victim, &mut evicted);
-        };
-        let key = owner_key(&owner);
-        cell_mut(&mut guards, self.cell_of(id)).lots.insert(
+            t.evict(victim, &mut evicted);
+        }
+        t.insert(Lot {
             id,
-            Lot {
-                id,
-                owner,
-                capacity,
-                expires_at: now.saturating_add(duration),
-                used: 0,
-                last_access: now,
-                files: BTreeMap::new(),
-            },
-        );
-        self.owner_add(&key, id);
-        self.committed
-            // nestlint: allow(atomic-ordering): all cells held
-            .store(active_cap + best_used + capacity, Ordering::Relaxed);
-        self.debug_assert_invariants(&guards, now);
+            owner,
+            capacity,
+            expires_at: now.saturating_add(duration),
+            used: 0,
+            last_access: now,
+            files: BTreeMap::new(),
+        });
+        self.debug_assert_invariants(&t, now);
         Ok((id, evicted))
     }
 
     /// Extends a lot's duration ("users are allowed to indefinitely renew").
-    /// Re-activation re-promises capacity, so this is an all-cells exact
-    /// path (renewals are administrative, not per-chunk).
+    /// Renewing an expired lot re-promises its capacity, so it succeeds
+    /// only if the guarantee still holds with that capacity counted.
     pub fn renew(&self, id: LotId, extra: u64, now: u64) -> Result<(), LotError> {
-        let mut guards: Vec<(usize, MutexGuard<'_, LotCell>)> =
-            self.cells.lock_all().into_iter().enumerate().collect();
-        // Renewing an expired lot re-activates it only if the guarantee
-        // invariant still holds with its capacity re-promised.
-        let mut active_cap = 0u64;
-        let mut best_effort_used = 0u64;
-        for (_, g) in &guards {
-            for l in g.lots.values().filter(|l| l.id != id) {
-                if l.is_expired(now) {
-                    best_effort_used += l.used;
-                } else {
-                    active_cap += l.capacity;
-                }
-            }
-        }
-        let total = self.total_capacity;
-        let lot = cell_mut(&mut guards, self.cell_of(id))
-            .lots
-            .get_mut(&id)
-            .ok_or(LotError::NoSuchLot(id))?;
-        if lot.is_expired(now) {
-            if active_cap + best_effort_used + lot.capacity > total {
+        let mut t = self.table.lock();
+        let (active, best_effort) = t.committed(now);
+        let lot = t.lots.get_mut(&id).ok_or(LotError::NoSuchLot(id))?;
+        if !lot.is_expired(now) {
+            lot.expires_at = lot.expires_at.saturating_add(extra);
+        } else {
+            // Everyone else's commitment: this lot counts its bytes now.
+            let others = active + best_effort - lot.used;
+            if others + lot.capacity > self.total_capacity {
                 return Err(LotError::InsufficientSpace {
                     requested: lot.capacity,
-                    available: total.saturating_sub(active_cap + best_effort_used),
+                    available: self.total_capacity.saturating_sub(others),
                 });
             }
             lot.expires_at = now.saturating_add(extra);
-        } else {
-            lot.expires_at = lot.expires_at.saturating_add(extra);
         }
-        let (a, b) = committed_parts(&guards, now);
-        // nestlint: allow(atomic-ordering): all cells held
-        self.committed.store(a + b, Ordering::Relaxed);
+        self.debug_assert_invariants(&t, now);
         Ok(())
     }
 
-    /// Terminates a lot. Its files' allocations here are dropped; files
-    /// whose *entire* allocation was in this lot are returned for deletion.
-    /// All-cells: the lot's files may have span records anywhere, and the
-    /// exact recomputation of `committed` is only safe holding every cell.
+    /// Terminates a lot. Its files lose every charge they hold, in this
+    /// lot and any other, and are returned for deletion.
     pub fn terminate(&self, id: LotId) -> Result<Evicted, LotError> {
-        let mut guards: Vec<(usize, MutexGuard<'_, LotCell>)> =
-            self.cells.lock_all().into_iter().enumerate().collect();
-        if !cell_mut(&mut guards, self.cell_of(id))
-            .lots
-            .contains_key(&id)
-        {
+        let mut t = self.table.lock();
+        if !t.lots.contains_key(&id) {
             return Err(LotError::NoSuchLot(id));
         }
         let mut evicted = Evicted::default();
-        self.evict_locked(&mut guards, id, &mut evicted);
-        // No clock here, so the survivors' expiry state is unknowable —
-        // but `committed` only needs to stay an upper bound, and the most
-        // conservative reading treats every survivor as active (counting
-        // full capacity). Recompute on that basis.
-        let worst_case: u64 = guards
-            .iter()
-            .flat_map(|(_, g)| g.lots.values())
-            .map(|l| l.capacity.max(l.used))
-            .sum();
-        // nestlint: allow(atomic-ordering): all cells held
-        self.committed.store(worst_case, Ordering::Relaxed);
+        t.evict(id, &mut evicted);
         Ok(evicted)
     }
 
-    /// Looks up a lot snapshot. Single-cell.
+    /// Looks up a lot snapshot.
     pub fn stat(&self, id: LotId) -> Result<Lot, LotError> {
-        self.cells
-            .lock_idx(self.cell_of(id))
-            .lots
-            .get(&id)
-            .cloned()
-            .ok_or(LotError::NoSuchLot(id))
+        let t = self.table.lock();
+        t.lots.get(&id).cloned().ok_or(LotError::NoSuchLot(id))
     }
 
-    /// All lots usable by a user with the given group memberships.
-    /// Sequential per-cell scan (listing is not a hot path).
-    pub fn lots_for(&self, user: &str, groups: &std::collections::HashSet<String>) -> Vec<Lot> {
-        let mut lots: Vec<Lot> = self
-            .cells
-            .for_each_cell(|_, c| {
-                c.lots
-                    .values()
-                    .filter(|l| l.owner.usable_by(user, groups))
-                    .cloned()
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
+    /// All lots usable by a user with the given group memberships, in id
+    /// order.
+    pub fn lots_for(&self, user: &str, groups: &HashSet<String>) -> Vec<Lot> {
+        let t = self.table.lock();
+        let mut lots: Vec<Lot> = t
+            .lots
+            .values()
+            .filter(|l| l.owner.usable_by(user, groups))
+            .cloned()
             .collect();
         lots.sort_by_key(|l| l.id);
         lots
@@ -554,213 +338,74 @@ impl LotManager {
     /// lots when one alone cannot hold the file (paper: "a file may span
     /// multiple lots if it cannot fit within a single one"). Returns the
     /// lots charged, whose `last_access` the charge also stamped.
-    ///
-    /// Locks only the cells holding the user's candidate lots plus the
-    /// path's span cell (ascending); the owner index is read and released
-    /// *before* any cell is taken, and candidates are re-validated under
-    /// the cell locks, so a lot terminated in between is simply skipped.
     pub fn charge_file(
         &self,
         user: &str,
-        groups: &std::collections::HashSet<String>,
+        groups: &HashSet<String>,
         path: &VPath,
         bytes: u64,
         now: u64,
     ) -> Result<Vec<LotId>, LotError> {
-        // Candidate ids from the owner index, guard dropped before any
-        // cell lock (cells → owners is the only permitted nesting).
-        let mut candidates: Vec<LotId> = Vec::new();
-        {
-            let ukey = format!("user:{}", user);
-            if let Some(ids) = self.owners.lock(shard_hash(&ukey)).get(&ukey) {
-                candidates.extend_from_slice(ids);
-            }
-        }
-        for g in groups {
-            let gkey = format!("group:{}", g);
-            if let Some(ids) = self.owners.lock(shard_hash(&gkey)).get(&gkey) {
-                candidates.extend_from_slice(ids);
-            }
-        }
-        candidates.sort();
-        candidates.dedup();
+        let mut t = self.table.lock();
+        let charged = t.charge(user, groups, path, bytes, now)?;
+        self.debug_assert_invariants(&t, now);
+        Ok(charged)
+    }
 
-        let pidx = self.cell_of_path(path);
-        let mut needed: Vec<usize> = candidates.iter().map(|id| self.cell_of(*id)).collect();
-        needed.push(pidx);
-        let mut guards = self.lock_cells(needed);
-
-        // Re-validate under the cell locks.
-        let mut usable: Vec<LotId> = Vec::new();
-        let mut any: Option<LotId> = None;
-        for id in &candidates {
-            if let Some(lot) = cell_ref(&guards, self.cell_of(*id)).lots.get(id) {
-                if lot.owner.usable_by(user, groups) {
-                    any = Some(any.map_or(*id, |a| a.min(*id)));
-                    if !lot.is_expired(now) {
-                        usable.push(*id);
-                    }
-                }
-            }
+    /// Charges `path` up to `end` bytes in all: what its lots already hold
+    /// counts, and only the rest is charged, as by
+    /// [`LotManager::charge_file`]. Reading the charge and adding to it
+    /// under one acquisition is what makes two writes growing one file
+    /// charge the larger end between them, not the sum of their growths.
+    /// Returns the lots charged — none when the charge already reaches
+    /// `end`.
+    pub fn charge_file_to(
+        &self,
+        user: &str,
+        groups: &HashSet<String>,
+        path: &VPath,
+        end: u64,
+        now: u64,
+    ) -> Result<Vec<LotId>, LotError> {
+        let mut t = self.table.lock();
+        let (held, _) = t.charge_of(path, now);
+        if end <= held {
+            return Ok(Vec::new());
         }
-        if usable.is_empty() {
-            return Err(match any {
-                // Only expired lots remain; writes are refused.
-                Some(id) => LotError::Expired(id),
-                None => LotError::NoLot(user.to_owned()),
-            });
-        }
-        let available: u64 = usable
-            .iter()
-            .map(|id| cell_ref(&guards, self.cell_of(*id)).lots[id].free())
-            .sum();
-        if bytes > available {
-            return Err(LotError::InsufficientSpace {
-                requested: bytes,
-                available,
-            });
-        }
-        // Greedy span across lots in id order.
-        let mut remaining = bytes;
-        let mut charged: Vec<LotId> = Vec::new();
-        for id in usable {
-            if remaining == 0 {
-                break;
-            }
-            let idx = self.cell_of(id);
-            let lot = cell_mut(&mut guards, idx).lots.get_mut(&id).unwrap();
-            let take = lot.free().min(remaining);
-            if take == 0 {
-                continue;
-            }
-            lot.used += take;
-            lot.last_access = now;
-            *lot.files.entry(path.clone()).or_insert(0) += take;
-            remaining -= take;
-            charged.push(id);
-        }
-        debug_assert_eq!(remaining, 0);
-        let spans = cell_mut(&mut guards, pidx)
-            .file_spans
-            .entry(path.clone())
-            .or_default();
-        for id in &charged {
-            if !spans.contains(id) {
-                spans.push(*id);
-            }
-        }
-        for (_, g) in &guards {
-            g.debug_assert_cell_invariants();
-        }
+        let charged = t.charge(user, groups, path, end - held, now)?;
+        self.debug_assert_invariants(&t, now);
         Ok(charged)
     }
 
     /// Releases all of a file's charges (on delete or truncate-to-zero).
     /// Returns the number of bytes released.
-    ///
-    /// Optimistic cross-cell protocol: peek the span under the path's
-    /// cell alone, then lock the full needed set (ascending) and
-    /// re-verify — if a concurrent charge widened the span, widen the
-    /// lock set and retry.
     pub fn release_file(&self, path: &VPath) -> u64 {
-        let pidx = self.cell_of_path(path);
-        let mut needed: Vec<usize> = {
-            let g = self.cells.lock_idx(pidx);
-            let Some(span) = g.file_spans.get(path) else {
-                return 0;
-            };
-            let mut n: Vec<usize> = span.iter().map(|id| self.cell_of(*id)).collect();
-            n.push(pidx);
-            n.sort_unstable();
-            n.dedup();
-            n
-        };
-        loop {
-            let mut guards = self.lock_cells(needed.clone());
-            let Some(span) = cell_ref(&guards, pidx).file_spans.get(path) else {
-                return 0;
-            };
-            let mut now_needed: Vec<usize> = span.iter().map(|id| self.cell_of(*id)).collect();
-            now_needed.push(pidx);
-            now_needed.sort_unstable();
-            now_needed.dedup();
-            if now_needed.iter().any(|i| !needed.contains(i)) {
-                needed = now_needed;
-                continue; // guards drop; retry with the wider set
-            }
-            let released = self.unfile_locked(&mut guards, path);
-            // Releasing a span must leave every touched lot conserving
-            // bytes (the expiry-dependent guarantee check needs a clock
-            // and is re-verified on the next exact-path operation).
-            for (_, g) in &guards {
-                g.debug_assert_cell_invariants();
-            }
-            return released;
-        }
+        self.table.lock().unfile(path)
     }
 
     /// Records an access to the lots backing `path` (for LRU reclamation).
-    /// Advisory: the span is peeked under the path cell and each backing
-    /// cell is updated one at a time.
     pub fn touch_file(&self, path: &VPath, now: u64) {
-        let span = {
-            let g = self.cells.lock_idx(self.cell_of_path(path));
-            match g.file_spans.get(path) {
-                Some(s) => s.clone(),
-                None => return,
-            }
-        };
-        let mut by_cell: Vec<usize> = span.iter().map(|id| self.cell_of(*id)).collect();
-        by_cell.sort_unstable();
-        by_cell.dedup();
-        for idx in by_cell {
-            let mut g = self.cells.lock_idx(idx);
-            for id in span.iter().filter(|id| self.cell_of(**id) == idx) {
-                if let Some(lot) = g.lots.get_mut(id) {
-                    lot.last_access = now;
-                }
+        let mut t = self.table.lock();
+        let LotTable { lots, spans, .. } = &mut *t;
+        for id in spans.get(path).into_iter().flatten() {
+            if let Some(lot) = lots.get_mut(id) {
+                lot.last_access = now;
             }
         }
     }
 
     /// The bytes charged to `path` across its lots, and whether any
     /// unexpired lot backs it. Per-chunk on the write path, so it clones
-    /// no lot: like [`LotManager::touch_file`], the span is peeked under
-    /// the path cell and each backing lot is read under its own cell.
+    /// no lot.
     pub fn file_charge(&self, path: &VPath, now: u64) -> (u64, bool) {
-        let span = match self
-            .cells
-            .lock_idx(self.cell_of_path(path))
-            .file_spans
-            .get(path)
-        {
-            Some(s) => s.clone(),
-            None => return (0, false),
-        };
-        let mut bytes = 0;
-        let mut guaranteed = false;
-        for id in span {
-            if let Some(lot) = self.cells.lock_idx(self.cell_of(id)).lots.get(&id) {
-                if let Some(b) = lot.files.get(path) {
-                    bytes += b;
-                    guaranteed |= !lot.is_expired(now);
-                }
-            }
-        }
-        (bytes, guaranteed)
+        self.table.lock().charge_of(path, now)
     }
 
-    /// Snapshot of every lot, for ad publication and `lot_list`.
-    /// Sequential per-cell collection.
+    /// Snapshot of every lot in id order, for ad publication and
+    /// `lot_list`.
     pub fn all_lots(&self) -> Vec<Lot> {
-        let mut lots: Vec<Lot> = self
-            .cells
-            .for_each_cell(|_, c| c.lots.values().cloned().collect::<Vec<_>>())
-            .into_iter()
-            .flatten()
-            .collect();
-        lots.sort_by_key(|l| l.id);
-        lots
+        let t = self.table.lock();
+        t.sorted().into_iter().cloned().collect()
     }
 
     // -- persistence ---------------------------------------------------------
@@ -775,12 +420,9 @@ impl LotManager {
     /// Reservations must survive appliance restarts for the guarantee to
     /// mean anything; the paper got this for free from kernel quotas.
     pub fn snapshot(&self) -> String {
-        // All cells held (ascending) so the snapshot is a consistent cut.
-        let guards = self.cells.lock_all();
-        let mut lots: Vec<&Lot> = guards.iter().flat_map(|g| g.lots.values()).collect();
-        lots.sort_by_key(|l| l.id);
+        let t = self.table.lock();
         let mut out = String::new();
-        for lot in lots {
+        for lot in t.sorted() {
             write_lot_line(&mut out, lot);
             for (path, bytes) in &lot.files {
                 let _ = writeln!(out, "file {} {} {}", lot.id.0, bytes, path);
@@ -799,218 +441,291 @@ impl LotManager {
     /// file <lot> <b> <p> its files) and the charge itself
     /// ```
     ///
-    /// A path's record is rendered under its span cell and every backing
-    /// lot's cell at once, so it is one consistent state of that path.
-    /// A lot header already written for a path key is not repeated.
+    /// The whole record renders under one acquisition, so it is one
+    /// consistent state of all its keys. A lot header already written for
+    /// a path key is not repeated.
     pub fn render_keys(&self, keys: &[LotKey<'_>], out: &mut String) {
+        let t = self.table.lock();
         let mut headers = Vec::new();
         for key in keys {
             match *key {
                 LotKey::Lot(id) if headers.contains(&id) => {}
-                LotKey::Lot(id) => match self.cells.lock_idx(self.cell_of(id)).lots.get(&id) {
+                LotKey::Lot(id) => match t.lots.get(&id) {
                     Some(lot) => write_lot_line(out, lot),
                     None => {
                         let _ = writeln!(out, "-lot {}", id.0);
                     }
                 },
-                LotKey::Path(path) => self.render_path(path, out, &mut headers),
-            }
-        }
-    }
-
-    fn render_path(&self, path: &VPath, out: &mut String, headers: &mut Vec<LotId>) {
-        let pidx = self.cell_of_path(path);
-        let mut needed = vec![pidx];
-        loop {
-            let guards = self.lock_cells(needed.clone());
-            let span = cell_ref(&guards, pidx)
-                .file_spans
-                .get(path)
-                .cloned()
-                .unwrap_or_default();
-            let mut want: Vec<usize> = span.iter().map(|id| self.cell_of(*id)).collect();
-            want.push(pidx);
-            if want.iter().any(|i| !needed.contains(i)) {
-                needed = want;
-                continue; // guards drop; retry holding the span's cells too
-            }
-            let _ = writeln!(out, "unfile {path}");
-            for id in span {
-                let Some(lot) = cell_ref(&guards, self.cell_of(id)).lots.get(&id) else {
-                    continue;
-                };
-                if let Some(bytes) = lot.files.get(path) {
-                    write_lot_line(out, lot);
-                    headers.push(id);
-                    let _ = writeln!(out, "file {} {} {}", id.0, bytes, path);
+                LotKey::Path(path) => {
+                    let _ = writeln!(out, "unfile {path}");
+                    for id in t.spans.get(path).into_iter().flatten() {
+                        let Some(lot) = t.lots.get(id) else {
+                            continue;
+                        };
+                        if let Some(bytes) = lot.files.get(path) {
+                            write_lot_line(out, lot);
+                            headers.push(*id);
+                            let _ = writeln!(out, "file {} {} {}", id.0, bytes, path);
+                        }
+                    }
                 }
             }
-            return;
         }
     }
 
     /// Rebuilds a manager from a [`LotManager::snapshot`], optionally
     /// followed by lot-journal payloads ([`LotManager::render_keys`]):
-    /// one parser replays the lines in order. Unparseable lines are
-    /// skipped (a corrupt line must not brick the appliance). Charges are
-    /// replayed unchecked, since a journal may carry a path's new charge
-    /// before another path's release that made room for it; a lot still
-    /// over capacity at the end keeps its files in path order while they
-    /// fit. Lots that would violate the guarantee invariant against
-    /// `total_capacity` *as of `now`* are dropped (expired lots count only
-    /// their stored bytes, exactly as in the live invariant).
-    pub fn restore(text: &str, total_capacity: u64, policy: ReclaimPolicy, now: u64) -> Self {
-        Self::restore_with_shards(text, total_capacity, policy, now, DEFAULT_LOT_SHARDS)
-    }
-
-    /// [`LotManager::restore`] with an explicit stripe count.
-    pub fn restore_with_shards(
+    /// one parser replays the lines in order. Returns the manager and the
+    /// number of lines that did not parse, which are skipped — a corrupt
+    /// line must not brick the appliance, but it must not vanish unseen
+    /// either. Charges are replayed unchecked, since a journal may carry a
+    /// path's new charge before another path's release that made room for
+    /// it; a lot still over capacity at the end keeps its files in path
+    /// order while they fit. Lots that would violate the guarantee
+    /// invariant against `total_capacity` *as of `now`* are dropped,
+    /// newest first (expired lots count only their stored bytes, exactly
+    /// as in the live invariant).
+    pub fn restore(
         text: &str,
         total_capacity: u64,
         policy: ReclaimPolicy,
         now: u64,
-        shards: usize,
-    ) -> Self {
-        let manager = Self::with_shards(total_capacity, policy, shards);
+    ) -> (Self, u64) {
+        let manager = Self::new(total_capacity, policy);
+        let mut unparsed = 0;
         {
-            let mut guards: Vec<(usize, MutexGuard<'_, LotCell>)> =
-                manager.cells.lock_all().into_iter().enumerate().collect();
+            let mut t = manager.table.lock();
             let mut max_id = 0u64;
-            for line in text.lines() {
+            for line in text.lines().filter(|l| !l.is_empty()) {
                 match parse_line(line) {
                     Some(Line::Lot(lot)) => {
                         max_id = max_id.max(lot.id.0);
-                        manager.upsert_locked(&mut guards, lot);
+                        t.upsert(lot);
                     }
                     Some(Line::DropLot(id)) => {
                         max_id = max_id.max(id.0);
-                        manager.drop_lot_locked(&mut guards, id);
+                        t.remove_lot(id);
                     }
-                    Some(Line::File(id, bytes, path)) => {
-                        manager.charge_locked(&mut guards, id, bytes, path);
-                    }
+                    Some(Line::File(id, bytes, path)) => t.replay_charge(id, bytes, path),
                     Some(Line::Unfile(path)) => {
-                        manager.unfile_locked(&mut guards, &path);
+                        t.unfile(&path);
                     }
-                    None => {}
+                    None => unparsed += 1,
                 }
             }
-            manager.trim_overfull_locked(&mut guards);
-            // Enforce the guarantee invariant: drop newest lots until the
-            // snapshot fits the (possibly reduced) capacity.
+            t.trim_overfull();
             loop {
-                let (active_cap, best_used) = committed_parts(&guards, now);
-                if active_cap + best_used <= total_capacity {
-                    manager
-                        .committed
-                        // nestlint: allow(atomic-ordering): restore is single-threaded
-                        .store(active_cap + best_used, Ordering::Relaxed);
+                let (active, best_effort) = t.committed(now);
+                if active + best_effort <= total_capacity {
                     break;
                 }
-                let victim = guards
-                    .iter()
-                    .flat_map(|(_, g)| g.lots.keys())
-                    .max()
-                    .copied();
-                match victim {
-                    Some(id) => {
-                        let mut ev = Evicted::default();
-                        manager.evict_locked(&mut guards, id, &mut ev);
-                    }
-                    None => break,
-                }
+                let Some(newest) = t.lots.keys().max().copied() else {
+                    break;
+                };
+                t.evict(newest, &mut Evicted::default());
             }
-            // nestlint: allow(atomic-ordering): restore is single-threaded
-            manager.next_id.store(max_id + 1, Ordering::Relaxed);
+            t.next_id = max_id + 1;
+            manager.debug_assert_invariants(&t, now);
         }
-        manager
+        (manager, unparsed)
     }
 
-    /// Replays a `lot` line: inserts the lot, or updates an existing
-    /// lot's header and keeps its files. Caller holds every cell.
-    fn upsert_locked(&self, guards: &mut [(usize, MutexGuard<'_, LotCell>)], lot: Lot) {
-        let id = lot.id;
-        let cell = cell_mut(guards, self.cell_of(id));
-        match cell.lots.get_mut(&id) {
-            Some(old) => {
-                old.capacity = lot.capacity;
-                old.expires_at = lot.expires_at;
-                old.last_access = lot.last_access;
-            }
-            None => {
-                let key = owner_key(&lot.owner);
-                cell.lots.insert(id, lot);
-                self.owner_add(&key, id);
-            }
-        }
-    }
-
-    /// Replays `-lot <id>`: removes the lot and every charge it held
-    /// (other lots' charges of the same paths stay). Caller holds every
-    /// cell.
-    fn drop_lot_locked(&self, guards: &mut [(usize, MutexGuard<'_, LotCell>)], id: LotId) {
-        let Some(lot) = cell_mut(guards, self.cell_of(id)).lots.remove(&id) else {
+    /// The full invariant suite.
+    fn debug_assert_invariants(&self, t: &LotTable, now: u64) {
+        if !nest_check::enforcing() {
             return;
-        };
-        self.owner_remove(&owner_key(&lot.owner), id);
-        for path in lot.files.keys() {
-            self.unspan_locked(guards, path, id);
         }
+        let (active, best_effort) = t.committed(now);
+        nest_check::invariant!(
+            active + best_effort <= self.total_capacity,
+            "lot guarantee: active capacity {} + best-effort used {} > total {}",
+            active,
+            best_effort,
+            self.total_capacity
+        );
+        for lot in t.lots.values() {
+            nest_check::invariant!(
+                lot.used <= lot.capacity,
+                "lot {} used {} exceeds capacity {}",
+                lot.id,
+                lot.used,
+                lot.capacity
+            );
+            let file_sum: u64 = lot.files.values().sum();
+            nest_check::invariant!(
+                lot.used == file_sum,
+                "lot {} byte conservation: used {} != sum(file charges) {}",
+                lot.id,
+                lot.used,
+                file_sum
+            );
+        }
+    }
+}
+
+impl LotTable {
+    /// (Σ active capacities, Σ best-effort used).
+    fn committed(&self, now: u64) -> (u64, u64) {
+        let mut active = 0u64;
+        let mut best_effort = 0u64;
+        for l in self.lots.values() {
+            if l.is_expired(now) {
+                best_effort += l.used;
+            } else {
+                active += l.capacity;
+            }
+        }
+        (active, best_effort)
+    }
+
+    /// Every lot, in id order.
+    fn sorted(&self) -> Vec<&Lot> {
+        let mut lots: Vec<&Lot> = self.lots.values().collect();
+        lots.sort_by_key(|l| l.id);
+        lots
+    }
+
+    fn insert(&mut self, lot: Lot) {
+        self.owners
+            .entry(lot.owner.clone())
+            .or_default()
+            .push(lot.id);
+        self.lots.insert(lot.id, lot);
+    }
+
+    /// Removes a lot and the charges it held; other lots' charges of the
+    /// same paths stay.
+    fn remove_lot(&mut self, id: LotId) -> Option<Lot> {
+        let lot = self.lots.remove(&id)?;
+        if let Some(ids) = self.owners.get_mut(&lot.owner) {
+            ids.retain(|l| *l != id);
+            if ids.is_empty() {
+                self.owners.remove(&lot.owner);
+            }
+        }
+        for path in lot.files.keys() {
+            self.unspan(path, id);
+        }
+        Some(lot)
     }
 
     /// Removes lot `id` from `path`'s span, and the span once it is empty.
-    fn unspan_locked(
-        &self,
-        guards: &mut [(usize, MutexGuard<'_, LotCell>)],
-        path: &VPath,
-        id: LotId,
-    ) {
-        let spans = &mut cell_mut(guards, self.cell_of_path(path)).file_spans;
-        if let Some(span) = spans.get_mut(path) {
+    fn unspan(&mut self, path: &VPath, id: LotId) {
+        if let Some(span) = self.spans.get_mut(path) {
             span.retain(|l| *l != id);
             if span.is_empty() {
-                spans.remove(path);
+                self.spans.remove(path);
             }
         }
     }
 
-    /// Replays a `file` line: adds the charge to an existing lot, with no
-    /// capacity check (see [`LotManager::restore`]). Caller holds every
-    /// cell.
-    fn charge_locked(
-        &self,
-        guards: &mut [(usize, MutexGuard<'_, LotCell>)],
-        id: LotId,
-        bytes: u64,
-        path: VPath,
-    ) {
-        let Some(lot) = cell_mut(guards, self.cell_of(id)).lots.get_mut(&id) else {
+    /// Evicts a lot. Every file it backs is handed back for deletion and
+    /// loses its charges in other lots too: a partially deleted file is
+    /// useless.
+    fn evict(&mut self, id: LotId, evicted: &mut Evicted) {
+        let Some(lot) = self.remove_lot(id) else {
             return;
         };
-        lot.used = lot.used.saturating_add(bytes);
-        let charge = lot.files.entry(path.clone()).or_insert(0);
-        *charge = charge.saturating_add(bytes);
-        let span = cell_mut(guards, self.cell_of_path(&path))
-            .file_spans
-            .entry(path)
-            .or_default();
-        if !span.contains(&id) {
-            span.push(id);
+        evicted.lots.push(id);
+        for path in lot.files.into_keys() {
+            self.unfile(&path);
+            evicted.files.push(path);
         }
     }
 
-    /// Drops every charge of `path` and returns the bytes released. Caller
-    /// holds the path's cell and every cell its span touches.
-    fn unfile_locked(&self, guards: &mut [(usize, MutexGuard<'_, LotCell>)], path: &VPath) -> u64 {
-        let Some(span) = cell_mut(guards, self.cell_of_path(path))
-            .file_spans
-            .remove(path)
-        else {
+    /// Reclamation victim per policy among the best-effort lots.
+    fn victim(&self, policy: ReclaimPolicy, now: u64) -> Option<LotId> {
+        let expired = self.lots.values().filter(|l| l.is_expired(now));
+        let victim = match policy {
+            ReclaimPolicy::ExpiredFirst => expired.min_by_key(|l| (l.expires_at, l.id)),
+            ReclaimPolicy::LargestFirst => {
+                expired.max_by_key(|l| (l.used, std::cmp::Reverse(l.id)))
+            }
+            ReclaimPolicy::Lru => expired.min_by_key(|l| (l.last_access, l.id)),
+        };
+        victim.map(|l| l.id)
+    }
+
+    /// See [`LotManager::charge_file`].
+    fn charge(
+        &mut self,
+        user: &str,
+        groups: &HashSet<String>,
+        path: &VPath,
+        bytes: u64,
+        now: u64,
+    ) -> Result<Vec<LotId>, LotError> {
+        let mut mine: Vec<LotId> = std::iter::once(LotOwner::User(user.to_owned()))
+            .chain(groups.iter().map(|g| LotOwner::Group(g.clone())))
+            .filter_map(|owner| self.owners.get(&owner))
+            .flatten()
+            .copied()
+            .collect();
+        mine.sort_unstable();
+        let usable: Vec<LotId> = mine
+            .iter()
+            .copied()
+            .filter(|id| !self.lots[id].is_expired(now))
+            .collect();
+        if usable.is_empty() {
+            return Err(match mine.first() {
+                // Only expired lots remain; writes are refused.
+                Some(id) => LotError::Expired(*id),
+                None => LotError::NoLot(user.to_owned()),
+            });
+        }
+        let available: u64 = usable.iter().map(|id| self.lots[id].free()).sum();
+        if bytes > available {
+            return Err(LotError::InsufficientSpace {
+                requested: bytes,
+                available,
+            });
+        }
+        // Greedy span across lots in id order.
+        let mut remaining = bytes;
+        let mut charged = Vec::new();
+        for id in usable {
+            let lot = self.lots.get_mut(&id).expect("indexed lot");
+            let take = lot.free().min(remaining);
+            if take == 0 {
+                continue;
+            }
+            lot.used += take;
+            lot.last_access = now;
+            *lot.files.entry(path.clone()).or_insert(0) += take;
+            remaining -= take;
+            charged.push(id);
+            let span = self.spans.entry(path.clone()).or_default();
+            if !span.contains(&id) {
+                span.push(id);
+            }
+        }
+        Ok(charged)
+    }
+
+    /// See [`LotManager::file_charge`].
+    fn charge_of(&self, path: &VPath, now: u64) -> (u64, bool) {
+        let mut bytes = 0;
+        let mut guaranteed = false;
+        for id in self.spans.get(path).into_iter().flatten() {
+            if let Some(lot) = self.lots.get(id) {
+                if let Some(b) = lot.files.get(path) {
+                    bytes += b;
+                    guaranteed |= !lot.is_expired(now);
+                }
+            }
+        }
+        (bytes, guaranteed)
+    }
+
+    /// Drops every charge of `path` and returns the bytes released.
+    fn unfile(&mut self, path: &VPath) -> u64 {
+        let Some(span) = self.spans.remove(path) else {
             return 0;
         };
         let mut released = 0;
         for id in span {
-            if let Some(lot) = cell_mut(guards, self.cell_of(id)).lots.get_mut(&id) {
+            if let Some(lot) = self.lots.get_mut(&id) {
                 if let Some(bytes) = lot.files.remove(path) {
                     lot.used = lot.used.saturating_sub(bytes);
                     released += bytes;
@@ -1020,145 +735,54 @@ impl LotManager {
         released
     }
 
-    /// A replayed lot left over its capacity keeps its files in path
-    /// order while they fit; the rest lose their charge in it. Caller
-    /// holds every cell.
-    fn trim_overfull_locked(&self, guards: &mut [(usize, MutexGuard<'_, LotCell>)]) {
-        let mut overflow: Vec<(LotId, Vec<VPath>)> = Vec::new();
-        for (_, g) in guards.iter() {
-            for lot in g.lots.values().filter(|l| l.used > l.capacity) {
-                let mut kept = 0u64;
-                let mut dropped = Vec::new();
-                for (path, bytes) in &lot.files {
-                    match kept.checked_add(*bytes).filter(|k| *k <= lot.capacity) {
-                        Some(k) => kept = k,
-                        None => dropped.push(path.clone()),
-                    }
-                }
-                overflow.push((lot.id, dropped));
+    /// Replays a `lot` line: inserts the lot, or updates an existing
+    /// lot's header and keeps its files.
+    fn upsert(&mut self, lot: Lot) {
+        match self.lots.get_mut(&lot.id) {
+            Some(old) => {
+                old.capacity = lot.capacity;
+                old.expires_at = lot.expires_at;
+                old.last_access = lot.last_access;
             }
-        }
-        for (id, paths) in overflow {
-            for path in paths {
-                let lot = cell_mut(guards, self.cell_of(id))
-                    .lots
-                    .get_mut(&id)
-                    .expect("collected from a held cell");
-                let bytes = lot.files.remove(&path).unwrap_or(0);
-                lot.used = lot.used.saturating_sub(bytes);
-                self.unspan_locked(guards, &path, id);
-            }
+            None => self.insert(lot),
         }
     }
 
-    /// Reclamation victim per policy, across every (held) cell.
-    fn pick_victim(&self, guards: &[(usize, MutexGuard<'_, LotCell>)], now: u64) -> Option<LotId> {
-        let candidates: Vec<&Lot> = guards
-            .iter()
-            .flat_map(|(_, g)| g.lots.values())
-            .filter(|l| l.is_expired(now))
-            .collect();
-        match self.policy {
-            ReclaimPolicy::ExpiredFirst => candidates
-                .iter()
-                .min_by_key(|l| (l.expires_at, l.id))
-                .map(|l| l.id),
-            ReclaimPolicy::LargestFirst => candidates
-                .iter()
-                .max_by_key(|l| (l.used, std::cmp::Reverse(l.id)))
-                .map(|l| l.id),
-            ReclaimPolicy::Lru => candidates
-                .iter()
-                .min_by_key(|l| (l.last_access, l.id))
-                .map(|l| l.id),
-        }
-    }
-
-    /// Evicts a lot. Caller holds **every** cell (a lot's files may have
-    /// span records in any of them).
-    fn evict_locked(
-        &self,
-        guards: &mut [(usize, MutexGuard<'_, LotCell>)],
-        id: LotId,
-        evicted: &mut Evicted,
-    ) {
-        let Some(lot) = cell_mut(guards, self.cell_of(id)).lots.remove(&id) else {
+    /// Replays a `file` line: adds the charge to an existing lot, with no
+    /// capacity check (see [`LotManager::restore`]).
+    fn replay_charge(&mut self, id: LotId, bytes: u64, path: VPath) {
+        let Some(lot) = self.lots.get_mut(&id) else {
             return;
         };
-        self.owner_remove(&owner_key(&lot.owner), id);
-        evicted.lots.push(id);
-        for (path, _bytes) in lot.files {
-            // Remove this lot from the file's span; if it was the file's
-            // only backing, the file loses its guarantee and is deleted.
-            let pidx = self.cell_of_path(&path);
-            let remaining = {
-                let pc = cell_mut(guards, pidx);
-                match pc.file_spans.get_mut(&path) {
-                    None => continue,
-                    Some(span) => {
-                        span.retain(|l| *l != id);
-                        span.clone()
-                    }
-                }
-            };
-            if remaining.is_empty() {
-                cell_mut(guards, pidx).file_spans.remove(&path);
-                evicted.files.push(path);
-            } else {
-                // Partially backed file: remaining spans keep their
-                // bytes; the evicted portion is gone. Physical
-                // truncation is the storage manager's job; we surface
-                // the file as evicted so it is handled conservatively.
-                evicted.files.push(path.clone());
-                // Drop the file's remaining charges too: a partially
-                // deleted file is useless.
-                let rest = cell_mut(guards, pidx)
-                    .file_spans
-                    .remove(&path)
-                    .unwrap_or_default();
-                for other in rest {
-                    if let Some(l) = cell_mut(guards, self.cell_of(other)).lots.get_mut(&other) {
-                        if let Some(b) = l.files.remove(&path) {
-                            l.used = l.used.saturating_sub(b);
-                        }
-                    }
-                }
-            }
+        lot.used = lot.used.saturating_add(bytes);
+        let charge = lot.files.entry(path.clone()).or_insert(0);
+        *charge = charge.saturating_add(bytes);
+        let span = self.spans.entry(path).or_default();
+        if !span.contains(&id) {
+            span.push(id);
         }
     }
 
-    /// The full invariant suite; caller holds every cell.
-    fn debug_assert_invariants(&self, guards: &[(usize, MutexGuard<'_, LotCell>)], now: u64) {
-        if nest_check::enforcing() {
-            let (active_cap, best_used) = committed_parts(guards, now);
-            nest_check::invariant!(
-                active_cap + best_used <= self.total_capacity,
-                "lot guarantee: active capacity {} + best-effort used {} > total {}",
-                active_cap,
-                best_used,
-                self.total_capacity
-            );
-            for (_, g) in guards {
-                g.debug_assert_cell_invariants();
+    /// A replayed lot left over its capacity keeps its files in path
+    /// order while they fit; the rest lose their charge in it.
+    fn trim_overfull(&mut self) {
+        let mut overflow: Vec<(LotId, VPath)> = Vec::new();
+        for lot in self.lots.values().filter(|l| l.used > l.capacity) {
+            let mut kept = 0u64;
+            for (path, bytes) in &lot.files {
+                match kept.checked_add(*bytes).filter(|k| *k <= lot.capacity) {
+                    Some(k) => kept = k,
+                    None => overflow.push((lot.id, path.clone())),
+                }
             }
         }
-    }
-}
-
-/// (Σ active capacities, Σ best-effort used) across the held cells.
-fn committed_parts(guards: &[(usize, MutexGuard<'_, LotCell>)], now: u64) -> (u64, u64) {
-    let mut active_cap = 0u64;
-    let mut best_used = 0u64;
-    for (_, g) in guards {
-        for l in g.lots.values() {
-            if l.is_expired(now) {
-                best_used += l.used;
-            } else {
-                active_cap += l.capacity;
-            }
+        for (id, path) in overflow {
+            let lot = self.lots.get_mut(&id).expect("collected above");
+            let bytes = lot.files.remove(&path).unwrap_or(0);
+            lot.used = lot.used.saturating_sub(bytes);
+            self.unspan(&path, id);
         }
     }
-    (active_cap, best_used)
 }
 
 /// Appends a lot's header line: `lot <id> <user|group> <name> <capacity>
@@ -1215,55 +839,6 @@ fn parse_line(line: &str) -> Option<Line> {
         last_access: it.next()?.parse().ok()?,
         files: BTreeMap::new(),
     }))
-}
-
-/// The guard for cell `idx` in a held (index, guard) set, mutably.
-fn cell_mut<'a, 'g>(
-    guards: &'a mut [(usize, MutexGuard<'g, LotCell>)],
-    idx: usize,
-) -> &'a mut LotCell {
-    &mut guards
-        .iter_mut()
-        .find(|(i, _)| *i == idx)
-        .expect("cell locked")
-        .1
-}
-
-/// The guard for cell `idx` in a held (index, guard) set, shared.
-fn cell_ref<'a, 'g>(guards: &'a [(usize, MutexGuard<'g, LotCell>)], idx: usize) -> &'a LotCell {
-    &guards
-        .iter()
-        .find(|(i, _)| *i == idx)
-        .expect("cell locked")
-        .1
-}
-
-impl LotCell {
-    /// Byte conservation for every lot in this cell: committed bytes
-    /// equal the sum of per-file charges, and never exceed capacity.
-    /// (The global guarantee inequality needs every cell and a clock; it
-    /// is checked on the all-cells paths.)
-    fn debug_assert_cell_invariants(&self) {
-        if nest_check::enforcing() {
-            for lot in self.lots.values() {
-                nest_check::invariant!(
-                    lot.used <= lot.capacity,
-                    "lot {} used {} exceeds capacity {}",
-                    lot.id,
-                    lot.used,
-                    lot.capacity
-                );
-                let file_sum: u64 = lot.files.values().sum();
-                nest_check::invariant!(
-                    lot.used == file_sum,
-                    "lot {} byte conservation: used {} != sum(file charges) {}",
-                    lot.id,
-                    lot.used,
-                    file_sum
-                );
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1502,42 +1077,16 @@ mod tests {
     }
 
     #[test]
-    fn explicit_shard_counts_preserve_semantics() {
-        // The same scenario must behave identically at 1 shard (the
-        // ablation) and at a count that forces cross-cell spans.
-        for shards in [1usize, 4] {
-            let lm = LotManager::with_shards(1000, ReclaimPolicy::ExpiredFirst, shards);
-            assert_eq!(lm.shards(), shards);
-            let (a, _) = lm.create(user("u"), 300, 100, 0).unwrap();
-            let (b, _) = lm.create(user("u"), 300, 100, 0).unwrap();
-            // Ids 1 and 2 land in different cells at 4 shards; the span
-            // crosses them.
-            lm.charge_file("u", &no_groups(), &vp("/big"), 500, 1)
-                .unwrap();
-            assert_eq!(lm.stat(a).unwrap().used, 300);
-            assert_eq!(lm.stat(b).unwrap().used, 200);
-            assert_eq!(lm.release_file(&vp("/big")), 500);
-            assert_eq!(lm.stat(a).unwrap().used, 0);
-            assert_eq!(lm.guaranteed(1), 600);
-        }
-    }
-
-    #[test]
     fn concurrent_create_terminate_never_overcommits() {
         use std::sync::Arc;
-        let lm = Arc::new(LotManager::with_shards(
-            1000,
-            ReclaimPolicy::ExpiredFirst,
-            4,
-        ));
+        let lm = Arc::new(LotManager::new(1000, ReclaimPolicy::ExpiredFirst));
         let mut handles = Vec::new();
         for t in 0..8u64 {
             let lm = Arc::clone(&lm);
             handles.push(std::thread::spawn(move || {
                 for _ in 0..50 {
                     // 8 threads × 100 bytes ≤ 1000: admission must never
-                    // spuriously fail (the sloppy bound may divert to the
-                    // exact path, but the exact path must admit).
+                    // spuriously fail.
                     let (id, _) = lm.create(user(&format!("u{}", t)), 100, 100, 0).unwrap();
                     lm.terminate(id).unwrap();
                 }
@@ -1548,8 +1097,7 @@ mod tests {
         }
         assert_eq!(lm.all_lots().len(), 0);
         assert_eq!(lm.reservable(0), 1000);
-        // The sloppy bound self-corrects on the exact paths: a full-size
-        // lot is admissible again after the churn.
+        // A full-size lot is admissible again after the churn.
         let (id, _) = lm.create(user("final"), 1000, 100, 0).unwrap();
         lm.terminate(id).unwrap();
     }
@@ -1571,59 +1119,57 @@ mod tests {
 
         /// `file_charge` and `occupancy` agree with the whole-table folds
         /// they replaced after every op of a create / charge / release /
-        /// renew / terminate / expire / restore sequence, striped and not.
+        /// renew / terminate / expire / restore sequence.
         #[test]
         fn file_charge_matches_the_all_lots_fold(
             ops in prop::collection::vec((0u8..7, 0usize..4, 1u64..300), 1..60),
         ) {
             let paths: Vec<VPath> = (0..4).map(|i| vp(&format!("/f{i}"))).collect();
-            for shards in [1usize, 8] {
-                let policy = ReclaimPolicy::ExpiredFirst;
-                let mut lm = LotManager::with_shards(2000, policy, shards);
-                let mut now = 0u64;
-                for &(op, i, n) in &ops {
-                    let who = ["u0", "u1"][i % 2];
-                    let nth = lm.all_lots().get(i).map(|l| l.id);
-                    match (op, nth) {
-                        (0, _) => {
-                            let _ = lm.create(user(who), n * 2, n / 4 + 1, now);
-                        }
-                        (1, _) => {
-                            let _ = lm.charge_file(who, &no_groups(), &paths[i], n, now);
-                        }
-                        (2, _) => {
-                            lm.release_file(&paths[i]);
-                        }
-                        (3, Some(id)) => {
-                            let _ = lm.renew(id, n, now);
-                        }
-                        (4, Some(id)) => {
-                            let _ = lm.terminate(id);
-                        }
-                        (5, _) => now += n / 4,
-                        (6, _) => {
-                            let snap = lm.snapshot();
-                            lm = LotManager::restore_with_shards(&snap, 2000, policy, now, shards);
-                        }
-                        _ => {}
+            let policy = ReclaimPolicy::ExpiredFirst;
+            let mut lm = LotManager::new(2000, policy);
+            let mut now = 0u64;
+            for &(op, i, n) in &ops {
+                let who = ["u0", "u1"][i % 2];
+                let nth = lm.all_lots().get(i).map(|l| l.id);
+                match (op, nth) {
+                    (0, _) => {
+                        let _ = lm.create(user(who), n * 2, n / 4 + 1, now);
                     }
-                    // The references: the folds over every cloned lot.
-                    let lots = lm.all_lots();
+                    (1, _) => {
+                        let _ = lm.charge_file(who, &no_groups(), &paths[i], n, now);
+                    }
+                    (2, _) => {
+                        lm.release_file(&paths[i]);
+                    }
+                    (3, Some(id)) => {
+                        let _ = lm.renew(id, n, now);
+                    }
+                    (4, Some(id)) => {
+                        let _ = lm.terminate(id);
+                    }
+                    (5, _) => now += n / 4,
+                    (6, _) => {
+                        let snap = lm.snapshot();
+                        lm = LotManager::restore(&snap, 2000, policy, now).0;
+                    }
+                    _ => {}
+                }
+                // The references: the folds over every cloned lot.
+                let lots = lm.all_lots();
+                prop_assert_eq!(
+                    lm.occupancy(),
+                    (lots.iter().map(|l| l.used).sum::<u64>(), lots.len())
+                );
+                for path in &paths {
+                    let bytes = lots.iter().filter_map(|l| l.files.get(path)).sum();
+                    let backed = lots
+                        .iter()
+                        .any(|l| !l.is_expired(now) && l.files.contains_key(path));
                     prop_assert_eq!(
-                        lm.occupancy(),
-                        (lots.iter().map(|l| l.used).sum::<u64>(), lots.len())
+                        lm.file_charge(path, now),
+                        (bytes, backed),
+                        "{} after op {}", path, op
                     );
-                    for path in &paths {
-                        let bytes = lots.iter().filter_map(|l| l.files.get(path)).sum();
-                        let backed = lots
-                            .iter()
-                            .any(|l| !l.is_expired(now) && l.files.contains_key(path));
-                        prop_assert_eq!(
-                            lm.file_charge(path, now),
-                            (bytes, backed),
-                            "{} at {} shards after op {}", path, shards, op
-                        );
-                    }
                 }
             }
         }
@@ -1637,59 +1183,53 @@ mod tests {
             ops in prop::collection::vec((0u8..6, 0usize..4, 1u64..300), 1..60),
         ) {
             let paths: Vec<VPath> = (0..4).map(|i| vp(&format!("/f{i}"))).collect();
-            for shards in [1usize, 8] {
-                let lm = LotManager::with_shards(2000, ReclaimPolicy::Lru, shards);
-                lm.create(user("u0"), 300, 1000, 0).unwrap();
-                let base = lm.snapshot();
-                let mut journal = String::new();
-                let mut now = 0u64;
-                for &(op, i, n) in &ops {
-                    let who = ["u0", "u1"][i % 2];
-                    let nth = lm.all_lots().get(i).map(|l| l.id);
-                    let evicted = |id: LotId, ev: Evicted, out: &mut String| {
-                        let mut keys = vec![LotKey::Lot(id)];
-                        keys.extend(ev.lots.iter().map(|l| LotKey::Lot(*l)));
-                        keys.extend(ev.files.iter().map(LotKey::Path));
-                        lm.render_keys(&keys, out);
-                    };
-                    match (op, nth) {
-                        (0, _) => {
-                            if let Ok((id, ev)) = lm.create(user(who), n * 2, n / 4 + 1, now) {
-                                evicted(id, ev, &mut journal);
-                            }
+            let lm = LotManager::new(2000, ReclaimPolicy::Lru);
+            lm.create(user("u0"), 300, 1000, 0).unwrap();
+            let base = lm.snapshot();
+            let mut journal = String::new();
+            let mut now = 0u64;
+            for &(op, i, n) in &ops {
+                let who = ["u0", "u1"][i % 2];
+                let nth = lm.all_lots().get(i).map(|l| l.id);
+                let evicted = |id: LotId, ev: Evicted, out: &mut String| {
+                    let mut keys = vec![LotKey::Lot(id)];
+                    keys.extend(ev.lots.iter().map(|l| LotKey::Lot(*l)));
+                    keys.extend(ev.files.iter().map(LotKey::Path));
+                    lm.render_keys(&keys, out);
+                };
+                match (op, nth) {
+                    (0, _) => {
+                        if let Ok((id, ev)) = lm.create(user(who), n * 2, n / 4 + 1, now) {
+                            evicted(id, ev, &mut journal);
                         }
-                        (1, _) => {
-                            if let Ok(charged) = lm.charge_file(who, &no_groups(), &paths[i], n, now) {
-                                let mut keys = vec![LotKey::Path(&paths[i])];
-                                keys.extend(charged.into_iter().map(LotKey::Lot));
-                                lm.render_keys(&keys, &mut journal);
-                            }
-                        }
-                        (2, _) => {
-                            lm.release_file(&paths[i]);
-                            lm.render_keys(&[LotKey::Path(&paths[i])], &mut journal);
-                        }
-                        (3, Some(id)) if lm.renew(id, n, now).is_ok() => {
-                            lm.render_keys(&[LotKey::Lot(id)], &mut journal);
-                        }
-                        (4, Some(id)) => {
-                            if let Ok(ev) = lm.terminate(id) {
-                                evicted(id, ev, &mut journal);
-                            }
-                        }
-                        (5, _) => now += n / 4,
-                        _ => {}
                     }
+                    (1, _) => {
+                        if let Ok(charged) = lm.charge_file(who, &no_groups(), &paths[i], n, now) {
+                            let mut keys = vec![LotKey::Path(&paths[i])];
+                            keys.extend(charged.into_iter().map(LotKey::Lot));
+                            lm.render_keys(&keys, &mut journal);
+                        }
+                    }
+                    (2, _) => {
+                        lm.release_file(&paths[i]);
+                        lm.render_keys(&[LotKey::Path(&paths[i])], &mut journal);
+                    }
+                    (3, Some(id)) if lm.renew(id, n, now).is_ok() => {
+                        lm.render_keys(&[LotKey::Lot(id)], &mut journal);
+                    }
+                    (4, Some(id)) => {
+                        if let Ok(ev) = lm.terminate(id) {
+                            evicted(id, ev, &mut journal);
+                        }
+                    }
+                    (5, _) => now += n / 4,
+                    _ => {}
                 }
-                let replayed = LotManager::restore_with_shards(
-                    &format!("{base}{journal}"),
-                    2000,
-                    ReclaimPolicy::Lru,
-                    now,
-                    shards,
-                );
-                prop_assert_eq!(replayed.snapshot(), lm.snapshot(), "at {} shards", shards);
             }
+            let text = format!("{base}{journal}");
+            let (replayed, unparsed) = LotManager::restore(&text, 2000, ReclaimPolicy::Lru, now);
+            prop_assert_eq!(unparsed, 0);
+            prop_assert_eq!(replayed.snapshot(), lm.snapshot());
         }
     }
 }
@@ -1721,7 +1261,7 @@ mod persistence_tests {
             .unwrap();
 
         let snap = lm.snapshot();
-        let restored = LotManager::restore(&snap, 1000, ReclaimPolicy::ExpiredFirst, 0);
+        let (restored, _) = LotManager::restore(&snap, 1000, ReclaimPolicy::ExpiredFirst, 0);
 
         let la = restored.stat(a).unwrap();
         assert_eq!(la.capacity, 400);
@@ -1742,8 +1282,12 @@ mod persistence_tests {
 
     #[test]
     fn restore_skips_garbage_lines() {
-        let text = "lot 1 user alice 100 50 0\nTOTALLY BROKEN\nfile 1 40 /x\nfile 99 10 /orphan\n";
-        let lm = LotManager::restore(text, 1000, ReclaimPolicy::ExpiredFirst, 0);
+        let text =
+            "lot 1 user alice 100 50 0\nTOTALLY BROKEN\n\nfile 1 40 /x\nfile 99 10 /orphan\n";
+        let (lm, unparsed) = LotManager::restore(text, 1000, ReclaimPolicy::ExpiredFirst, 0);
+        // The broken line is counted; a blank line and a charge of a lot
+        // that is gone are not garbage.
+        assert_eq!(unparsed, 1);
         assert_eq!(lm.stat(LotId(1)).unwrap().used, 40);
         assert_eq!(lm.all_lots().len(), 1);
     }
@@ -1755,14 +1299,15 @@ mod persistence_tests {
         lm.create(LotOwner::User("b".into()), 350, 100, 0).unwrap();
         let snap = lm.snapshot();
         // Restore onto a smaller disk: the newest lot is dropped.
-        let small = LotManager::restore(&snap, 700, ReclaimPolicy::ExpiredFirst, 0);
+        let (small, _) = LotManager::restore(&snap, 700, ReclaimPolicy::ExpiredFirst, 0);
         assert_eq!(small.all_lots().len(), 1);
         assert_eq!(small.all_lots()[0].capacity, 600);
     }
 
     #[test]
     fn empty_snapshot_restores_empty() {
-        let lm = LotManager::restore("", 500, ReclaimPolicy::Lru, 0);
+        let (lm, unparsed) = LotManager::restore("", 500, ReclaimPolicy::Lru, 0);
+        assert_eq!(unparsed, 0);
         assert!(lm.all_lots().is_empty());
         assert_eq!(lm.total_capacity(), 500);
     }

@@ -5,17 +5,21 @@
 //! `<root>.lots` ([`LotManager::snapshot`]) and the append-only journal
 //! `<root>.lots.journal`. Every mutation appends one record carrying the
 //! *current* state of the keys it touched ([`LotManager::render_keys`]),
-//! rendered while the journal lock is held, so the last record for a key
-//! is its newest state. A record is framed as
+//! rendered under one acquisition of the lot table's lock while the
+//! journal lock is held, so a record is one consistent state of its keys
+//! and the last record for a key is its newest state. A record is framed
+//! as
 //!
 //! ```text
 //! <payload length: u32 LE> <CRC-32 of payload: u32 LE> <payload>
 //! ```
 //!
 //! Restart replays the snapshot and then every intact record with the
-//! snapshot's own parser ([`LotManager::restore_with_shards`]). A torn
-//! tail is truncated; a complete record whose checksum fails is counted,
-//! logged and skipped. Once the journal outgrows the snapshot it is
+//! snapshot's own parser ([`LotManager::restore`]). A torn tail is
+//! truncated; a complete record whose checksum fails is counted, logged
+//! and skipped, and so is a line the parser cannot read (counted by
+//! `restore`, logged by `StorageManager::with_lot_store`). Once the
+//! journal outgrows the snapshot it is
 //! compacted: snapshot → temp → fsync → rename → fsync dir → truncate.
 //! Records are written with one `write(2)` and no fsync, so a completed
 //! append survives the process being killed; a power loss can lose the
@@ -253,7 +257,9 @@ mod tests {
     }
 
     fn restore(text: &str) -> LotManager {
-        LotManager::restore(text, 10_000, ReclaimPolicy::ExpiredFirst, 0)
+        let (lm, unparsed) = LotManager::restore(text, 10_000, ReclaimPolicy::ExpiredFirst, 0);
+        assert_eq!(unparsed, 0);
+        lm
     }
 
     /// A table with one lot and two charged files, each mutation journaled.

@@ -159,8 +159,9 @@ pub fn system_clock() -> Clock {
 ///   `.committed_bytes` / `.count` — lot occupancy gauges, refreshed by
 ///   [`StorageManager::refresh_gauges`].
 /// * `storage.lot.journal.appends` / `.compactions` / `.corrupt_records`
-///   — lot-journal records written, snapshots rewritten, and complete
-///   records that failed their checksum at restart.
+///   — lot-journal records written, snapshots rewritten, and, at restart,
+///   complete records that failed their checksum plus lines that did not
+///   parse.
 struct StorageMetrics {
     meta_us: Arc<Histogram>,
     read_us: Arc<Histogram>,
@@ -209,9 +210,6 @@ pub struct StorageManager {
     enforce_lots: bool,
     /// Kept so persisted lot state can be restored with the same policy.
     reclaim_policy: ReclaimPolicy,
-    /// Stripe count for the lot table; kept so restores reuse the same
-    /// configuration.
-    shards: usize,
     /// Instrument handles; `None` runs fully uninstrumented.
     metrics: Option<StorageMetrics>,
     /// The actuating memory tier (budget 0 — the default — disables it).
@@ -238,7 +236,6 @@ impl StorageManager {
             clock: system_clock(),
             enforce_lots: true,
             reclaim_policy: policy,
-            shards: crate::lot::DEFAULT_LOT_SHARDS,
             metrics: None,
             tier: MemTier::new(0),
             residency_hint: None,
@@ -272,14 +269,10 @@ impl StorageManager {
         self
     }
 
-    /// Sets the stripe count for the lot table (`1` = the single-mutex
-    /// ablation). Call before [`Self::with_lot_store`]; it rebuilds the
-    /// (still empty) lot table.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        let shards = shards.max(1);
-        self.shards = shards;
-        self.lots =
-            LotManager::with_shards(self.lots.total_capacity(), self.reclaim_policy, shards);
+    /// Does nothing: the lot table is one table behind one lock at any
+    /// stripe count. Kept only because the `nestmark` benchmark's mirrored
+    /// dispatcher still calls it; nothing in the appliance does.
+    pub fn with_shards(self, _shards: usize) -> Self {
         self
     }
 
@@ -287,20 +280,28 @@ impl StorageManager {
     /// beside it) — reservations must survive appliance restarts. Restores
     /// the table a previous run left there, from the snapshot plus every
     /// intact journal record, then compacts once; from here on every lot
-    /// mutation is journaled before the method making it returns. Call
-    /// after [`Self::with_shards`] and [`Self::with_obs`].
+    /// mutation is journaled before the method making it returns. Lines
+    /// of the snapshot or of an intact record that do not parse are
+    /// logged and counted as corrupt records, like records that fail
+    /// their checksum. Call after [`Self::with_obs`].
     pub fn with_lot_store(mut self, store: &Path) -> io::Result<Self> {
         let (journal, recovered) = LotJournal::open(store)?;
-        self.lots = LotManager::restore_with_shards(
+        let (lots, unparsed) = LotManager::restore(
             &recovered.text,
             self.lots.total_capacity(),
             self.reclaim_policy,
             self.now(),
-            self.shards,
         );
+        if unparsed > 0 {
+            eprintln!(
+                "nest: {}: {unparsed} unparseable lot table lines skipped",
+                store.display()
+            );
+        }
+        self.lots = lots;
         journal.compact(&self.lots)?;
         if let Some(m) = &self.metrics {
-            m.journal_corrupt.add(recovered.corrupt_records);
+            m.journal_corrupt.add(recovered.corrupt_records + unparsed);
             m.journal_compactions.inc();
         }
         self.journal = Some(journal);
@@ -839,7 +840,9 @@ impl StorageManager {
 
     /// Writes a chunk during an admitted transfer, charging lots for growth
     /// beyond the admission hint (streaming protocols do not always know
-    /// the final size up front).
+    /// the final size up front). The charge grows to the chunk's end in
+    /// one lot-table call, so racing writes that extend one file charge
+    /// its final size, not the sum of their growths.
     pub fn write_chunk(
         &self,
         who: &Principal,
@@ -851,15 +854,10 @@ impl StorageManager {
             let current = self.backend.stat(path).map(|s| s.size).unwrap_or(0);
             let new_end = offset + data.len() as u64;
             if new_end > current {
-                let (charged, _) = self.lots.file_charge(path, self.now());
-                if new_end > charged {
-                    let lots = self.lots.charge_file(
-                        &who.user,
-                        &who.groups,
-                        path,
-                        new_end - charged,
-                        self.now(),
-                    )?;
+                let lots =
+                    self.lots
+                        .charge_file_to(&who.user, &who.groups, path, new_end, self.now())?;
+                if !lots.is_empty() {
                     self.journal(&path_keys(&[path], &lots))?;
                 }
             }

@@ -10,7 +10,9 @@
 //!   refuses without evicting anything when even full reclamation falls
 //!   short;
 //! * a charge spans the user's active lots in id order, each taking what it
-//!   has free, and is refused whole when together they cannot hold it;
+//!   has free, and is refused whole when together they cannot hold it. A
+//!   charge *to* an end charges only what the path's lots do not already
+//!   hold;
 //! * evicting or terminating a lot hands back every file it backs, and
 //!   drops those files' charges in every other lot too;
 //! * renewing an expired lot re-promises its capacity, so it fails when
@@ -150,6 +152,20 @@ impl Model {
         Ok(charged)
     }
 
+    fn charge_to(
+        &mut self,
+        user: &str,
+        groups: &HashSet<String>,
+        path: &VPath,
+        end: u64,
+        now: u64,
+    ) -> Result<Vec<LotId>, LotError> {
+        match self.file_charge(path, now).0 {
+            held if end <= held => Ok(Vec::new()),
+            held => self.charge(user, groups, path, end - held, now),
+        }
+    }
+
     fn release(&mut self, path: &VPath) -> u64 {
         let mut released = 0;
         for lot in &mut self.lots {
@@ -239,6 +255,11 @@ enum Op {
         file: u8,
         bytes: u64,
     },
+    ChargeTo {
+        user: u8,
+        file: u8,
+        end: u64,
+    },
     Release {
         file: u8,
     },
@@ -270,11 +291,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
             file,
             bytes
         }),
-        (0u8..2, 0u8..4, 1u64..300).prop_map(|(user, file, bytes)| Op::Charge {
-            user,
-            file,
-            bytes
-        }),
+        (0u8..2, 0u8..4, 1u64..600).prop_map(|(user, file, end)| Op::ChargeTo { user, file, end }),
         (0u8..4).prop_map(|file| Op::Release { file }),
         (0u8..4).prop_map(|file| Op::Touch { file }),
         (0u64..8, 1u64..40).prop_map(|(id, extra)| Op::Renew { id, extra }),
@@ -326,60 +343,69 @@ proptest! {
         ],
     ) {
         let paths = paths();
-        for shards in [1usize, 8] {
-            let mut lm = LotManager::with_shards(TOTAL, policy, shards);
-            let mut model = Model::new(policy);
-            let mut now = 0u64;
-            for (step, op) in ops.iter().enumerate() {
-                let at = format!("{op:?} (step {step}, {shards} shards, {policy:?})");
-                match *op {
-                    Op::Create { owner: o, capacity, duration } => prop_assert_eq!(
-                        lm.create(owner(o), capacity, duration, now),
-                        model.create(owner(o), capacity, duration, now),
+        let mut lm = LotManager::new(TOTAL, policy);
+        let mut model = Model::new(policy);
+        let mut now = 0u64;
+        for (step, op) in ops.iter().enumerate() {
+            let at = format!("{op:?} (step {step}, {policy:?})");
+            match *op {
+                Op::Create { owner: o, capacity, duration } => prop_assert_eq!(
+                    lm.create(owner(o), capacity, duration, now),
+                    model.create(owner(o), capacity, duration, now),
+                    "{}", at
+                ),
+                Op::Charge { user, file, bytes } => {
+                    let (name, groups) = (format!("u{user}"), groups(user));
+                    let path = &paths[file as usize];
+                    prop_assert_eq!(
+                        lm.charge_file(&name, &groups, path, bytes, now),
+                        model.charge(&name, &groups, path, bytes, now),
                         "{}", at
-                    ),
-                    Op::Charge { user, file, bytes } => {
-                        let (name, groups) = (format!("u{user}"), groups(user));
-                        let path = &paths[file as usize];
-                        prop_assert_eq!(
-                            lm.charge_file(&name, &groups, path, bytes, now),
-                            model.charge(&name, &groups, path, bytes, now),
-                            "{}", at
-                        );
-                    }
-                    Op::Release { file } => prop_assert_eq!(
-                        lm.release_file(&paths[file as usize]),
-                        model.release(&paths[file as usize]),
-                        "{}", at
-                    ),
-                    Op::Touch { file } => {
-                        lm.touch_file(&paths[file as usize], now);
-                        model.touch(&paths[file as usize], now);
-                    }
-                    Op::Renew { id, extra } => prop_assert_eq!(
-                        lm.renew(LotId(id), extra, now),
-                        model.renew(LotId(id), extra, now),
-                        "{}", at
-                    ),
-                    Op::Terminate { id } => prop_assert_eq!(
-                        lm.terminate(LotId(id)),
-                        model.terminate(LotId(id)),
-                        "{}", at
-                    ),
-                    Op::Advance { secs } => now += secs,
-                    Op::Restore => {
-                        lm = LotManager::restore_with_shards(&lm.snapshot(), TOTAL, policy, now, shards);
-                        model.restore();
-                    }
+                    );
                 }
-                for path in &paths {
-                    prop_assert_eq!(lm.file_charge(path, now), model.file_charge(path, now), "{} {}", path, at);
+                Op::ChargeTo { user, file, end } => {
+                    let (name, groups) = (format!("u{user}"), groups(user));
+                    let path = &paths[file as usize];
+                    prop_assert_eq!(
+                        lm.charge_file_to(&name, &groups, path, end, now),
+                        model.charge_to(&name, &groups, path, end, now),
+                        "{}", at
+                    );
                 }
-                prop_assert_eq!(lm.guaranteed(now), model.guaranteed(now), "{}", at);
-                prop_assert_eq!(lm.snapshot(), model.snapshot(), "{}", at);
-                let (active, best) = model.committed(now, None);
-                prop_assert!(active + best <= TOTAL, "over-promised: {} + {} at {}", active, best, at);
+                Op::Release { file } => prop_assert_eq!(
+                    lm.release_file(&paths[file as usize]),
+                    model.release(&paths[file as usize]),
+                    "{}", at
+                ),
+                Op::Touch { file } => {
+                    lm.touch_file(&paths[file as usize], now);
+                    model.touch(&paths[file as usize], now);
+                }
+                Op::Renew { id, extra } => prop_assert_eq!(
+                    lm.renew(LotId(id), extra, now),
+                    model.renew(LotId(id), extra, now),
+                    "{}", at
+                ),
+                Op::Terminate { id } => prop_assert_eq!(
+                    lm.terminate(LotId(id)),
+                    model.terminate(LotId(id)),
+                    "{}", at
+                ),
+                Op::Advance { secs } => now += secs,
+                Op::Restore => {
+                    let (restored, unparsed) = LotManager::restore(&lm.snapshot(), TOTAL, policy, now);
+                    prop_assert_eq!(unparsed, 0, "{}", at);
+                    lm = restored;
+                    model.restore();
+                }
             }
+            for path in &paths {
+                prop_assert_eq!(lm.file_charge(path, now), model.file_charge(path, now), "{} {}", path, at);
+            }
+            prop_assert_eq!(lm.guaranteed(now), model.guaranteed(now), "{}", at);
+            prop_assert_eq!(lm.snapshot(), model.snapshot(), "{}", at);
+            let (active, best) = model.committed(now, None);
+            prop_assert!(active + best <= TOTAL, "over-promised: {} + {} at {}", active, best, at);
         }
     }
 }

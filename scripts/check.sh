@@ -25,8 +25,15 @@ NEST_LOCK_ORDER=1 cargo test -q
 
 echo "==> nest-model (deterministic interleaving explorer, --features model; wall-clock budget 60s)"
 model_start=$SECONDS
-cargo test -q -p nest-model --features model
+if ! cargo test -q -p nest-model --features model -- --nocapture >target/model.log 2>&1; then
+  cat target/model.log >&2
+  echo "    nest-model: FAILED (see above)" >&2
+  exit 1
+fi
 model_elapsed=$((SECONDS - model_start))
+# The lot scenarios print their explorer reports; show the schedule counts.
+grep -o '[a-z_]*: Report { schedules: [0-9]*' target/model.log |
+  sed 's/: Report { schedules: /: /; s/^/    /; s/$/ schedules/'
 if [ "$model_elapsed" -gt 60 ]; then
   echo "    nest-model: FAILED (took ${model_elapsed}s, budget 60s — a scenario outgrew exhaustive exploration)" >&2
   exit 1
