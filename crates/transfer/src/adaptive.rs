@@ -290,6 +290,38 @@ mod tests {
     }
 
     #[test]
+    fn exploration_rate_is_fixed_by_construction() {
+        // After warmup, with stable scores, every 8th pick explores and
+        // the explorations alternate over the two non-best models. Each
+        // exploration is two switches (away and back): 250 per 1,000
+        // picks, with 1/16 of all flows going to each non-best model. This
+        // is the rate `transfer.adaptive.switches_per_kop` reads on every
+        // workload — the paper's periodic re-measurement, not thrash.
+        let mut s = AdaptiveSelector::new(all_models());
+        let mut last = None;
+        for _ in 0..12 {
+            last = Some(s.choose()); // warmup: 4 picks per model
+        }
+        s.report(ModelKind::Events, 3_000_000, 1.0);
+        s.report(ModelKind::Threads, 1_000_000, 1.0);
+        s.report(ModelKind::Processes, 300_000, 1.0);
+        let mut switches = 0;
+        let mut counts: HashMap<ModelKind, u32> = HashMap::new();
+        for _ in 0..2000 {
+            let m = s.choose();
+            if last != Some(m) {
+                switches += 1;
+            }
+            last = Some(m);
+            *counts.entry(m).or_insert(0) += 1;
+        }
+        assert_eq!(switches, 2 * 250);
+        assert_eq!(counts[&ModelKind::Threads], 2000 / 16);
+        assert_eq!(counts[&ModelKind::Processes], 2000 / 16);
+        assert_eq!(counts[&ModelKind::Events], 2000 - 2 * 2000 / 16);
+    }
+
+    #[test]
     fn single_model_always_chosen() {
         let mut s = AdaptiveSelector::new(vec![ModelKind::Threads]);
         for _ in 0..20 {

@@ -330,12 +330,28 @@ impl Flow {
                 return Ok(outcome);
             }
         }
+        self.step_through(|_| Ok(()))
+    }
+
+    /// Moves one chunk from source to sink through the pooled staging
+    /// buffer, handing it to `stage` in between. `stage` may rewrite the
+    /// chunk in place: the process model relays it through a worker
+    /// process and reads it back into the same bytes. Never takes the
+    /// zero-copy path, since every byte must pass through `stage`.
+    pub fn step_through(
+        &mut self,
+        stage: impl FnOnce(&mut [u8]) -> io::Result<()>,
+    ) -> io::Result<StepOutcome> {
+        if self.done {
+            return Ok(StepOutcome::Finished);
+        }
         let n = self.source.read_chunk(&mut self.buf)?;
         if n == 0 {
             self.sink.finish()?;
             self.done = true;
             return Ok(StepOutcome::Finished);
         }
+        stage(&mut self.buf[..n])?;
         self.sink.write_chunk(&self.buf[..n])?;
         self.moved += n as u64;
         Ok(StepOutcome::Moved(n))
@@ -401,26 +417,6 @@ impl Flow {
         }
     }
 
-    /// Reads a chunk directly from the source, bypassing the sink. Used by
-    /// executors that stage data through an external process.
-    pub fn source_read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.source.read_chunk(buf)
-    }
-
-    /// Writes a chunk directly to the sink, counting it as moved.
-    pub fn sink_write(&mut self, data: &[u8]) -> io::Result<()> {
-        self.sink.write_chunk(data)?;
-        self.moved += data.len() as u64;
-        Ok(())
-    }
-
-    /// Finishes the sink directly and marks the flow done.
-    pub fn sink_finish(&mut self) -> io::Result<()> {
-        self.sink.finish()?;
-        self.done = true;
-        Ok(())
-    }
-
     /// Prepares the flow for another attempt after a transient failure:
     /// rewinds the source, resets the sink, and clears the byte counter.
     /// Fails (without side effects beyond the endpoints' own attempts) if
@@ -441,7 +437,7 @@ impl Flow {
         self.sink.abort();
     }
 
-    /// Pumps the flow to completion (used by the thread-per-flow model).
+    /// Pumps the flow to completion on the calling thread.
     /// Returns total bytes moved.
     pub fn run_to_completion(&mut self) -> io::Result<u64> {
         loop {

@@ -96,6 +96,9 @@ impl Default for TransferConfig {
 /// Metric names:
 /// - `transfer.bytes_total`, `transfer.completed`, `transfer.failures`,
 ///   `transfer.model.switches` — counters
+/// - `transfer.model.{events,threads,processes}` — finished flows
+///   (successes and failures) per concurrency model: the mix the adaptive
+///   selector produced
 /// - `transfer.retries`, `transfer.aborted`, `transfer.deadline_exceeded`,
 ///   `transfer.cancelled` — failure-domain counters (retry attempts,
 ///   sink-abort cleanups, deadline expiries, cancellations)
@@ -125,6 +128,8 @@ struct EngineMetrics {
     deadline_exceeded: Arc<Counter>,
     cancelled: Arc<Counter>,
     model_switches: Arc<Counter>,
+    /// Finished flows per model, indexed by [`model_slot`].
+    per_model: [Arc<Counter>; 3],
     bandwidth: Arc<EwmaMeter>,
     queue_depth: Arc<Gauge>,
     sched_pass_us: Arc<Histogram>,
@@ -150,6 +155,11 @@ impl EngineMetrics {
             deadline_exceeded: m.counter("transfer.deadline_exceeded"),
             cancelled: m.counter("transfer.cancelled"),
             model_switches: m.counter("transfer.model.switches"),
+            per_model: [
+                m.counter("transfer.model.events"),
+                m.counter("transfer.model.threads"),
+                m.counter("transfer.model.processes"),
+            ],
             bandwidth: m.meter("transfer.bandwidth_bps"),
             queue_depth: m.gauge("transfer.queue_depth"),
             sched_pass_us: m.histogram("transfer.sched.pass_us"),
@@ -177,6 +187,15 @@ impl EngineMetrics {
             self.class_instruments.insert(class.to_owned(), (bytes, bw));
         }
         &self.class_instruments[class]
+    }
+}
+
+/// A model's index in [`EngineMetrics::per_model`].
+fn model_slot(model: ModelKind) -> usize {
+    match model {
+        ModelKind::Events => 0,
+        ModelKind::Threads => 1,
+        ModelKind::Processes => 2,
     }
 }
 
@@ -925,6 +944,7 @@ impl Engine {
             }
         }
         if let Some(m) = &mut self.metrics {
+            m.per_model[model_slot(completion.model)].inc();
             m.retries.add(u64::from(completion.retries));
             if completion.zc_engaged {
                 m.zc_sendfile_flows.inc();
@@ -1046,7 +1066,21 @@ mod tests {
         for h in submit_n(&tm, 6, "ftp", 32 * 1024) {
             h.wait().unwrap();
         }
-        assert!(obs.snapshot().count("transfer.model.switches") >= 1);
+        let snap = obs.snapshot();
+        assert!(snap.count("transfer.model.switches") >= 1);
+        // The per-model completion counters publish the assignment mix.
+        let stats = tm.stats();
+        for model in [ModelKind::Events, ModelKind::Threads, ModelKind::Processes] {
+            assert_eq!(
+                snap.count(&format!("transfer.model.{model}")),
+                stats.per_model.get(&model).copied().unwrap_or(0),
+                "model {model}"
+            );
+        }
+        assert_eq!(
+            snap.count("transfer.model.events") + snap.count("transfer.model.threads"),
+            6
+        );
         tm.shutdown();
     }
 
