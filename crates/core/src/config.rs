@@ -159,10 +159,7 @@ pub struct NestConfig {
     /// the appliance's `FrontRegistry` at start, in order. Each factory
     /// receives the dispatcher and returns the front to serve.
     pub extra_fronts: Vec<ExtraFront>,
-    /// Stripe count for the appliance's sharded tables: the NFS
-    /// file-handle table, the session live registry and the transfer
-    /// stats. `1` selects the single-mutex ablation — the pre-sharding
-    /// serialization points, for the scale bench baseline. Default: 8.
+    /// Ignored; delete in the benchmark-only PR for ROADMAP 1(b).
     pub shards: usize,
 }
 
@@ -451,14 +448,6 @@ impl NestConfigBuilder {
     /// Per-connection idle deadline (`None` keeps idle connections).
     pub fn idle_timeout(mut self, timeout: Option<Duration>) -> Self {
         self.config.idle_timeout = timeout;
-        self
-    }
-
-    /// Stripe count for the appliance's sharded tables (`1` = the
-    /// single-mutex ablation; see [`NestConfig::shards`]). Clamped to at
-    /// least 1.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.config.shards = shards.max(1);
         self
     }
 

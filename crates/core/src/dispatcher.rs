@@ -161,7 +161,7 @@ impl Dispatcher {
             chunk_size: 64 * 1024,
             process_launcher: Arc::new(SubprocessLauncher::new()),
             obs: Some(Arc::clone(&obs)),
-            shards: config.shards.max(1),
+            ..TransferConfig::default()
         });
         let metrics = DispatchMetrics::new(&obs);
         // Pre-register the writev-coalescing counter so it shows up (at

@@ -4,70 +4,56 @@
 //! and its id later reused, the generation differs and stale handles are
 //! answered with `NFSERR_STALE`, as a correct NFS server must.
 //!
-//! ## Striping
+//! ## Locking
 //!
-//! The table is two sharded maps: path → id cells (class `core.fhtable`,
-//! rank 110, keyed by path hash) and id → (path, generation) cells
-//! (class `core.fhtable.ids`, rank 111, keyed by id). Handle resolution —
-//! the per-request hot path (every NFS op resolves at least one handle) —
-//! touches exactly one id cell; allocation and rename touch one or two
-//! path cells plus one id cell. Cells are only ever nested path → id
-//! (matching the 110 → 111 rank order), and multi-cell locks within the
-//! path class are taken in ascending cell order. Ids are allocated from a
-//! global atomic and never reused, so the id counter needs no lock; the
-//! generation tag is likewise a global atomic whose bump inside `forget`
-//! happens under the forgotten path's cell, making recreate-after-forget
-//! observe the new generation.
+//! Both directions of the map, the id allocator and the generation tag
+//! sit behind one `core.fhtable` mutex, taken once per call. Ids are
+//! never reused.
 
 use nest_proto::nfs::FileHandle;
 use nest_storage::VPath;
-use parking_lot::{shard_hash, ShardedMutex};
+use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Default stripe count for the handle table (matching the storage
-/// layer's default).
-pub const DEFAULT_FHTABLE_SHARDS: usize = 8;
+/// Everything behind the table lock.
+#[derive(Debug)]
+struct Table {
+    by_path: HashMap<VPath, u64>,
+    by_id: HashMap<u64, (VPath, u64)>,
+    /// Next id to allocate; ids are never reused.
+    next_id: u64,
+    /// Generation tag for newly allocated handles; bumped on every
+    /// `forget` so recreated paths get distinguishable handles.
+    generation: u64,
+}
 
 /// The handle table.
 #[derive(Debug)]
 pub struct FhTable {
-    /// Monotonic id allocator; ids are never reused.
-    next_id: AtomicU64,
-    /// Generation tag for newly allocated handles; bumped on every
-    /// `forget` so recreated paths get distinguishable handles.
-    generation: AtomicU64,
-    by_path: ShardedMutex<HashMap<VPath, u64>>,
-    by_id: ShardedMutex<HashMap<u64, (VPath, u64)>>,
+    table: Mutex<Table>,
 }
 
 impl Default for FhTable {
     fn default() -> Self {
-        Self::with_shards(DEFAULT_FHTABLE_SHARDS)
+        Self::new()
     }
 }
 
 impl FhTable {
     /// Creates a table whose id 1 is the root directory.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a table with an explicit stripe count (`1` = the
-    /// single-mutex ablation); id 1 is the root directory.
-    pub fn with_shards(shards: usize) -> Self {
-        let table = Self {
-            next_id: AtomicU64::new(2),
-            generation: AtomicU64::new(1),
-            by_path: ShardedMutex::new("core.fhtable", 110, shards, |_| HashMap::new()),
-            by_id: ShardedMutex::new("core.fhtable.ids", 111, shards, |_| HashMap::new()),
-        };
-        table
-            .by_path
-            .lock(shard_hash(&VPath::root()))
-            .insert(VPath::root(), 1);
-        table.by_id.lock(1).insert(1, (VPath::root(), 1));
-        table
+        Self {
+            table: Mutex::named(
+                "core.fhtable",
+                110,
+                Table {
+                    by_path: HashMap::from([(VPath::root(), 1)]),
+                    by_id: HashMap::from([(1, (VPath::root(), 1))]),
+                    next_id: 2,
+                    generation: 1,
+                },
+            ),
+        }
     }
 
     /// The root handle (what MOUNT returns).
@@ -77,27 +63,23 @@ impl FhTable {
 
     /// Returns (allocating if needed) the handle for a path.
     pub fn handle_for(&self, path: &VPath) -> FileHandle {
-        let mut paths = self.by_path.lock(shard_hash(path));
-        if let Some(&id) = paths.get(path) {
-            // Nested path → id (rank 110 → 111), never the reverse.
-            let generation = self.by_id.lock(id).get(&id).map_or(0, |e| e.1);
+        let mut t = self.table.lock();
+        if let Some(&id) = t.by_path.get(path) {
+            let generation = t.by_id.get(&id).map_or(0, |e| e.1);
             return FileHandle::from_id(id, generation);
         }
-        // Same-path allocators serialize on this path cell, so exactly
-        // one of them allocates; the id is globally fresh either way.
-        // nestlint: allow(atomic-ordering): monotonic id tick, no sync rides on it
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let generation = self.generation.load(Ordering::Acquire);
-        paths.insert(path.clone(), id);
-        self.by_id.lock(id).insert(id, (path.clone(), generation));
+        let (id, generation) = (t.next_id, t.generation);
+        t.next_id += 1;
+        t.by_path.insert(path.clone(), id);
+        t.by_id.insert(id, (path.clone(), generation));
         FileHandle::from_id(id, generation)
     }
 
     /// Resolves a handle to its path; `None` for unknown or stale
-    /// handles. Touches only the handle's id cell — the hot path.
+    /// handles.
     pub fn resolve(&self, fh: &FileHandle) -> Option<VPath> {
-        let ids = self.by_id.lock(fh.id());
-        let (path, generation) = ids.get(&fh.id())?;
+        let t = self.table.lock();
+        let (path, generation) = t.by_id.get(&fh.id())?;
         if *generation != fh.generation() {
             return None;
         }
@@ -106,40 +88,21 @@ impl FhTable {
 
     /// Forgets a path (on remove/rmdir); its handles become stale.
     pub fn forget(&self, path: &VPath) {
-        let mut paths = self.by_path.lock(shard_hash(path));
-        if let Some(id) = paths.remove(path) {
-            self.by_id.lock(id).remove(&id);
+        let mut t = self.table.lock();
+        if let Some(id) = t.by_path.remove(path) {
+            t.by_id.remove(&id);
         }
         // Bump the generation so a recreated file at the same path gets a
-        // distinguishable handle even if ids were ever reused. Done under
-        // the path cell: a recreate serializes behind this lock and must
-        // observe the new generation.
-        self.generation.fetch_add(1, Ordering::AcqRel);
+        // distinguishable handle even if ids were ever reused.
+        t.generation += 1;
     }
 
     /// Re-keys a path (on rename), keeping the same handle valid.
     pub fn rename(&self, from: &VPath, to: &VPath) {
-        let from_idx = self.by_path.shard_for(shard_hash(from));
-        let to_idx = self.by_path.shard_for(shard_hash(to));
-        // Both path cells, ascending cell order (same-class nesting).
-        let (mut a, mut b) = if from_idx == to_idx {
-            (self.by_path.lock_idx(from_idx), None)
-        } else {
-            let lo = self.by_path.lock_idx(from_idx.min(to_idx));
-            let hi = self.by_path.lock_idx(from_idx.max(to_idx));
-            if from_idx < to_idx {
-                (lo, Some(hi))
-            } else {
-                (hi, Some(lo))
-            }
-        };
-        let from_cell = &mut a;
-        if let Some(id) = from_cell.remove(from) {
-            match &mut b {
-                Some(to_cell) => to_cell.insert(to.clone(), id),
-                None => from_cell.insert(to.clone(), id),
-            };
-            if let Some(entry) = self.by_id.lock(id).get_mut(&id) {
+        let mut t = self.table.lock();
+        if let Some(id) = t.by_path.remove(from) {
+            t.by_path.insert(to.clone(), id);
+            if let Some(entry) = t.by_id.get_mut(&id) {
                 entry.0 = to.clone();
             }
         }
@@ -205,35 +168,31 @@ mod tests {
     }
 
     #[test]
-    fn sharded_table_semantics_match_single_cell() {
-        // The full protocol — allocate, resolve, cross-cell rename,
-        // forget-staleness — must behave identically at any stripe count.
-        for shards in [1, 4] {
-            let t = FhTable::with_shards(shards);
-            let handles: Vec<_> = (0..32)
-                .map(|i| t.handle_for(&vp(&format!("/f{}", i))))
-                .collect();
-            for (i, fh) in handles.iter().enumerate() {
-                assert_eq!(t.resolve(fh), Some(vp(&format!("/f{}", i))));
-            }
-            // Renames that land in a different path cell keep handles
-            // valid; ids never move cells (keyed by id, not path).
-            for i in 0..32 {
-                t.rename(&vp(&format!("/f{}", i)), &vp(&format!("/g{}", i)));
-            }
-            for (i, fh) in handles.iter().enumerate() {
-                assert_eq!(t.resolve(fh), Some(vp(&format!("/g{}", i))));
-            }
-            t.forget(&vp("/g0"));
-            assert_eq!(t.resolve(&handles[0]), None);
-            assert_eq!(t.resolve(&handles[1]), Some(vp("/g1")));
+    fn many_handles_survive_rename_and_forget() {
+        // The full protocol — allocate, resolve, rename, forget-staleness
+        // — over many paths at once.
+        let t = FhTable::new();
+        let handles: Vec<_> = (0..32)
+            .map(|i| t.handle_for(&vp(&format!("/f{}", i))))
+            .collect();
+        for (i, fh) in handles.iter().enumerate() {
+            assert_eq!(t.resolve(fh), Some(vp(&format!("/f{}", i))));
         }
+        for i in 0..32 {
+            t.rename(&vp(&format!("/f{}", i)), &vp(&format!("/g{}", i)));
+        }
+        for (i, fh) in handles.iter().enumerate() {
+            assert_eq!(t.resolve(fh), Some(vp(&format!("/g{}", i))));
+        }
+        t.forget(&vp("/g0"));
+        assert_eq!(t.resolve(&handles[0]), None);
+        assert_eq!(t.resolve(&handles[1]), Some(vp("/g1")));
     }
 
     #[test]
     fn concurrent_allocation_yields_unique_ids() {
         use std::sync::Arc;
-        let t = Arc::new(FhTable::with_shards(4));
+        let t = Arc::new(FhTable::new());
         let mut joins = Vec::new();
         for thread in 0..8 {
             let t = Arc::clone(&t);

@@ -56,7 +56,6 @@ impl NestServer {
             max_conns_per_protocol: config.max_conns_per_protocol,
             queue_depth: config.accept_queue_depth,
             idle_timeout: config.idle_timeout,
-            shards: config.shards,
         };
         let mut registry = FrontRegistry::new(Arc::clone(dispatcher.obs()), session_cfg);
 
@@ -88,7 +87,7 @@ impl NestServer {
         }
 
         let (rpc, nfs_addr, nfs_tcp_addr) = if config.ports.nfs.is_some() {
-            let fhs = Arc::new(FhTable::with_shards(config.shards.max(1)));
+            let fhs = Arc::new(FhTable::new());
             let mut rpc_server = RpcServer::new();
             rpc_server.register(
                 NFS_PROGRAM,

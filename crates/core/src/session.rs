@@ -28,7 +28,7 @@
 //! connection path (enforced by the `conn-spawn` nest-lint rule).
 
 use nest_obs::{Counter, Gauge, Histogram, Obs};
-use parking_lot::{Condvar, Mutex, ShardedMutex};
+use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, UdpSocket};
@@ -59,10 +59,6 @@ pub struct SessionConfig {
     /// Reap connections whose client has been silent this long between
     /// (and within) requests. `None` disables idle reaping.
     pub idle_timeout: Option<Duration>,
-    /// Stripe count for each pool's live-connection registry (`1` = the
-    /// single-mutex ablation). At 10k+ churning sessions the per-serve
-    /// insert/remove pair otherwise serializes every worker on one map.
-    pub shards: usize,
 }
 
 impl Default for SessionConfig {
@@ -72,7 +68,6 @@ impl Default for SessionConfig {
             max_conns_per_protocol: 64,
             queue_depth: 0,
             idle_timeout: None,
-            shards: 8,
         }
     }
 }
@@ -309,9 +304,7 @@ struct ProtoPool {
     cv: Condvar,
     /// Clones of every in-flight connection, for hard-close at the drain
     /// deadline (`TcpStream::shutdown` interrupts a blocked read).
-    /// Striped by connection id so per-serve registration stops
-    /// serializing the workers; drain still walks every cell.
-    live: ShardedMutex<HashMap<u64, TcpStream>>,
+    live: Mutex<HashMap<u64, TcpStream>>,
 }
 
 #[derive(Default)]
@@ -334,7 +327,6 @@ impl ProtoPool {
         obs: &Obs,
     ) -> Arc<Self> {
         let proto_active = obs.metrics.gauge(&format!("session.{proto}.active"));
-        let live_shards = shared.cfg.shards.max(1);
         Arc::new(Self {
             reply,
             handler,
@@ -344,7 +336,7 @@ impl ProtoPool {
             proto_active,
             state: Mutex::named("core.session.pool", 150, PoolState::default()),
             cv: Condvar::named("core.session.pool.cv", 150),
-            live: ShardedMutex::new("core.session.live", 151, live_shards, |_| HashMap::new()),
+            live: Mutex::named("core.session.live", 151, HashMap::new()),
         })
     }
 
@@ -442,12 +434,12 @@ impl ProtoPool {
         // nestlint: allow(atomic-ordering): monotonic conn-id tick; atomicity alone is the contract
         let id = sh.next_conn.fetch_add(1, Ordering::Relaxed);
         if let Ok(clone) = stream.try_clone() {
-            self.live.lock(id).insert(id, clone);
+            self.live.lock().insert(id, clone);
         }
 
         let result = (self.handler)(stream, &ctx);
 
-        self.live.lock(id).remove(&id);
+        self.live.lock().remove(&id);
         // nestlint: allow(atomic-ordering): reads this worker's own reap marker (same thread)
         let idled = ctx.reaped.load(Ordering::Relaxed)
             || matches!(&result, Err(e) if e.kind() == io::ErrorKind::WouldBlock
@@ -647,12 +639,10 @@ impl SessionLayer {
         // with them the workers) exit promptly.
         if sh.active.load(Ordering::SeqCst) > 0 {
             for pool in &self.pools {
-                pool.live.for_each_cell(|_, cell| {
-                    for stream in cell.values() {
-                        let _ = stream.shutdown(Shutdown::Both);
-                        sh.hard_closed.inc();
-                    }
-                });
+                for stream in pool.live.lock().values() {
+                    let _ = stream.shutdown(Shutdown::Both);
+                    sh.hard_closed.inc();
+                }
             }
         }
 

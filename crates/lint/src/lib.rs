@@ -26,8 +26,7 @@
 //! | `tier-bypass` | direct raw-backend reads (`.backend().read_at` / `.backend().stat`) or `LocalFsBackend` construction in appliance serving paths — bypassing `StorageManager` skips admission (the ACL check and lot LRU touch) and read instrumentation, and a second backend brings a second handle cache blind to the appliance's invalidations |
 //! | `unsafe-safety-comment` | `unsafe` blocks/fns/impls without a `// SAFETY:` comment immediately above (or trailing on the same line) stating the obligation being discharged |
 //! | `atomic-ordering` | bare `Ordering::Relaxed` outside the stats module (`crates/obs/src/metrics.rs`) — every relaxed access elsewhere carries a reasoned `nestlint: allow(atomic-ordering)` explaining why no synchronization rides on it |
-//! | `sharded-bypass` | direct shard-cell access (`.lock_idx(` / `.shard_cell(`) in a file that does not itself declare a `ShardedMutex<` — the wrapper module owns the ascending-index discipline; outside callers go through its API |
-//! | `lock-rank` | a lock class literal (`Mutex::named` / `RwLock::named` / `Condvar::named` / `ShardedMutex::new`) missing from DESIGN.md's rank table, or a rank-table class no code constructs (`model.*` / `test.*` harness classes are exempt) |
+//! | `lock-rank` | a lock class literal (`Mutex::named` / `RwLock::named` / `Condvar::named`) missing from DESIGN.md's rank table, or a rank-table class no code constructs (`model.*` / `test.*` harness classes are exempt) |
 //! | `lot-bypass` | a `LotManager` mutator (`charge_file`, `charge_file_to`, `release_file`, `create`, `renew`, `terminate`) called on the appliance's table (`lot_manager()`, or a binding of it) outside `crates/storage`, where every lot mutation is journaled; and `fs::write(` in `crates/core` or `crates/storage`, whose persistent state goes through the lot journal or `atomic_replace` |
 //!
 //! ## Suppression
@@ -93,7 +92,6 @@ pub const RULES: &[&str] = &[
     "tier-bypass",
     "unsafe-safety-comment",
     "atomic-ordering",
-    "sharded-bypass",
     "lock-rank",
     "lot-bypass",
 ];
@@ -273,12 +271,7 @@ fn covers(name: &str, class: &str) -> bool {
 }
 
 /// Lock constructors whose first argument is the lock's class name.
-const LOCK_CTORS: [&str; 4] = [
-    "Mutex::named(",
-    "RwLock::named(",
-    "Condvar::named(",
-    "ShardedMutex::new(",
-];
+const LOCK_CTORS: [&str; 3] = ["Mutex::named(", "RwLock::named(", "Condvar::named("];
 
 /// The class literal a lock constructor passes on `line`, or on the line
 /// after `prev` when `prev` ends by opening the constructor's arguments.
@@ -319,12 +312,6 @@ fn scan_file(
     // admission caps and the drain joins.
     let pre_test = content.split("#[cfg(test)]").next().unwrap_or("");
     let is_conn_file = path != "crates/core/src/session.rs" && pre_test.contains("TcpListener");
-    // sharded-bypass: locking one cell of a striped table directly is a
-    // wrapper-module privilege — the module that declares the
-    // `ShardedMutex<` owns the ascending-index discipline and the sloppy
-    // aggregation protocol. Any other file reaching for a raw cell
-    // bypasses both (and can deadlock against ordered multi-cell holds).
-    let owns_shards = pre_test.contains("ShardedMutex<");
     // The registry implements the front API; the session layer defines it.
     let is_front_api = path == "crates/core/src/front.rs" || path == "crates/core/src/session.rs";
     // raw-socket-write applies where protocol replies are written: the
@@ -422,10 +409,8 @@ fn scan_file(
         // detector and the stats table see them.
         for pat in ["Mutex::new(", "RwLock::new(", "Condvar::new("] {
             if let Some(pos) = line.find(pat) {
-                // `sync::Mutex::new(…)` is already a raw-std-sync hit;
-                // `ShardedMutex::new(…)` takes a class name and rank, so
-                // it is a *named* constructor despite the `::new` suffix.
-                if !line[..pos].ends_with("sync::") && !line[..pos].ends_with("Sharded") {
+                // `sync::Mutex::new(…)` is already a raw-std-sync hit.
+                if !line[..pos].ends_with("sync::") {
                     report("unnamed-lock");
                 }
                 break;
@@ -511,11 +496,6 @@ fn scan_file(
                 }
                 break;
             }
-        }
-
-        // sharded-bypass: raw cell access outside the declaring wrapper.
-        if !owns_shards && (line.contains(".lock_idx(") || line.contains(".shard_cell(")) {
-            report("sharded-bypass");
         }
 
         // atomic-ordering: a bare Relaxed access is either a pure
@@ -688,9 +668,6 @@ mod tests {
         assert_eq!(rules_of(&v), vec!["unnamed-lock"]);
         let named = "fn f() { let m = Mutex::named(\"test.a\", 1, 0); }\n";
         assert!(scan_source("crates/storage/src/x.rs", named, DESIGN).is_empty());
-        // ShardedMutex::new carries a class name and rank: named.
-        let striped = "fn f() { let s = ShardedMutex::new(\"test.a\", 1, 4, |_| 0); }\n";
-        assert!(scan_source("crates/storage/src/x.rs", striped, DESIGN).is_empty());
     }
 
     #[test]
@@ -886,34 +863,6 @@ mod tests {
     }
 
     #[test]
-    fn seeded_sharded_bypass_is_caught_outside_the_wrapper() {
-        let src = "fn f(t: &LotManager) {\n\
-                   let g = t.cells.lock_idx(0);\n\
-                   let c = t.cells.shard_cell(1);\n\
-                   }\n";
-        let v = scan_source("crates/core/src/x.rs", src, DESIGN);
-        assert_eq!(rules_of(&v), vec!["sharded-bypass", "sharded-bypass"]);
-        // The wrapper module — the file declaring the striped table —
-        // owns the cell-access discipline and is exempt.
-        let wrapper = "struct T { cells: ShardedMutex<Cell> }\n\
-                       fn f(t: &T) { let g = t.cells.lock_idx(0); }\n";
-        assert!(scan_source("crates/storage/src/x.rs", wrapper, DESIGN).is_empty());
-        // A declaration that only appears inside tests does not exempt
-        // the production half of the file.
-        let test_only = "fn f(t: &T) { let g = t.cells.lock_idx(0); }\n\
-                         #[cfg(test)]\n\
-                         mod tests { struct S { c: ShardedMutex<u8> } }\n";
-        assert_eq!(
-            rules_of(&scan_source("crates/core/src/x.rs", test_only, DESIGN)),
-            vec!["sharded-bypass"]
-        );
-        // Suppression works as for every other rule.
-        let allowed = "// nestlint: allow(sharded-bypass): single-cell probe, no nesting\n\
-                       fn f(t: &T) { let g = t.cells.lock_idx(0); }\n";
-        assert!(scan_source("crates/core/src/x.rs", allowed, DESIGN).is_empty());
-    }
-
-    #[test]
     fn seeded_lock_rank_is_caught_both_ways() {
         let ranks = "## Locks\n\
                      | Rank | Class | Where |\n\
@@ -930,9 +879,9 @@ mod tests {
         let src = "fn f() {\n\
                    let a = Mutex::named(\"storage.lot\", 300, 0);\n\
                    let b = RwLock::named(\"storage.acl.acls\", 320, 0);\n\
-                   let c = ShardedMutex::new(\n\
+                   let c = Mutex::named(\n\
                    \"storage.ghost\",\n\
-                   1, 4, |_| 0);\n\
+                   1, 0);\n\
                    let d = Condvar::named(\"not.a.rank\", 2);\n\
                    }\n\
                    #[cfg(test)]\n\

@@ -6,13 +6,13 @@
 //! |---------------------|------------------------------------------------|
 //! | stride scheduler    | `transfer.sched` (scheduler behind one mutex)  |
 //! | buffer pool         | `transfer.bufpool.free`                        |
-//! | handle cache        | `storage.handle_cache.state` epoch guard       |
+//! | handle cache        | `storage.handlecache.state` epoch guard        |
 //! | memory tier         | `storage.memtier` promote vs. invalidate       |
 //! | session admission   | lock-free `active` counter protocol            |
 //! | lot table           | `storage.lot` charge vs. release vs. reclaim   |
 //! | growing writes      | `storage.lot` charge-to-end in `write_chunk`   |
 //! | lot journal         | `storage.lot.journal` append order vs. table   |
-//! | sharded live map    | striped registry walk vs. self-removal         |
+//! | session live map    | `core.session.live` drain vs. self-removal     |
 //!
 //! Every schedule executes the real crate code; the `invariant!`
 //! conservation checks inside it (stride ticket conservation, bufpool
@@ -488,34 +488,29 @@ fn lot_journal_replay_matches_live_state_under_racing_appends() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The sharded session registry's admit-vs-drain consistency: `serve()`
-/// removes a finished connection from its id's cell while `drain` walks
-/// the cells one at a time (the production [`parking_lot::ShardedMutex`]
-/// primitive, two cells) hard-closing whatever is still present. Under
-/// every interleaving of the walk with concurrent self-removal, each
-/// admitted connection deregisters exactly once, the registry ends
-/// empty, and the walk never counts a connection that had already left
-/// its cell.
+/// The session registry's admit-vs-drain consistency: `serve()` removes
+/// a finished connection from its pool's `live` map while `drain` locks
+/// the map and hard-closes whatever is still present. Under every
+/// interleaving of the walk with concurrent self-removal, each admitted
+/// connection deregisters exactly once, the registry ends empty, and the
+/// walk never counts a connection that had already left the map.
 #[test]
-fn sharded_live_registry_walk_vs_removal_is_consistent() {
-    use parking_lot::ShardedMutex;
+fn live_registry_drain_vs_removal_is_consistent() {
     use std::collections::HashMap;
     use std::sync::atomic::AtomicUsize;
 
     let report = check(&Config::exhaustive(), || {
-        let live: Arc<ShardedMutex<HashMap<u64, ()>>> =
-            Arc::new(ShardedMutex::new("model.session.live", 902, 2, |_| {
-                HashMap::new()
-            }));
+        let live: Arc<Mutex<HashMap<u64, ()>>> =
+            Arc::new(Mutex::named("model.session.live", 902, HashMap::new()));
         let active = Arc::new(AtomicUsize::new(0));
         let hard_closed = Arc::new(AtomicUsize::new(0));
 
-        // Two connections, one per cell (`lock` shards by the id), both
-        // admitted before the drain begins — the stop-accepting barrier
-        // in the real layer guarantees no admissions race the walk.
+        // Two connections, both admitted before the drain begins — the
+        // stop-accepting barrier in the real layer guarantees no
+        // admissions race the walk.
         for id in [0u64, 1u64] {
             active.fetch_add(1, Ordering::SeqCst);
-            live.lock(id).insert(id, ());
+            live.lock().insert(id, ());
         }
 
         let workers: Vec<_> = [0u64, 1u64]
@@ -526,7 +521,7 @@ fn sharded_live_registry_walk_vs_removal_is_consistent() {
                 thread::spawn(move || {
                     // serve(): the request stream ends (naturally or cut
                     // by the drain's shutdown) and the worker deregisters.
-                    let was_live = live.lock(id).remove(&id).is_some();
+                    let was_live = live.lock().remove(&id).is_some();
                     assert!(was_live, "a connection deregisters exactly once");
                     active.fetch_sub(1, Ordering::SeqCst);
                 })
@@ -536,11 +531,10 @@ fn sharded_live_registry_walk_vs_removal_is_consistent() {
             let live = Arc::clone(&live);
             let hard_closed = Arc::clone(&hard_closed);
             thread::spawn(move || {
-                // drain(): walk cells sequentially; every entry still
-                // present gets its stream shut down and counted.
-                live.for_each_cell(|_, cell| {
-                    hard_closed.fetch_add(cell.len(), Ordering::SeqCst);
-                });
+                // drain(): every entry still present gets its stream shut
+                // down and counted.
+                let n = live.lock().len();
+                hard_closed.fetch_add(n, Ordering::SeqCst);
             })
         };
         for w in workers {
@@ -553,13 +547,13 @@ fn sharded_live_registry_walk_vs_removal_is_consistent() {
             0,
             "every admission released exactly once"
         );
-        let leftover: usize = live.for_each_cell(|_, c| c.len()).into_iter().sum();
-        assert_eq!(leftover, 0, "registry drains to empty");
+        assert_eq!(live.lock().len(), 0, "registry drains to empty");
         assert!(
             hard_closed.load(Ordering::SeqCst) <= 2,
             "the walk never double-counts a connection"
         );
     });
+    eprintln!("live_registry_drain_vs_removal_is_consistent: {report:?}");
     assert!(report.complete, "exploration hit a budget: {report:?}");
     assert!(report.failure.is_none());
 }

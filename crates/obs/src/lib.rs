@@ -22,7 +22,7 @@
 pub mod metrics;
 pub mod registry;
 
-pub use metrics::{Counter, EwmaMeter, Gauge, Histogram, ShardedCounter};
+pub use metrics::{Counter, EwmaMeter, Gauge, Histogram};
 pub use registry::{MetricValue, MetricsSnapshot, Registry};
 
 use std::sync::Arc;

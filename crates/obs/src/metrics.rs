@@ -168,66 +168,6 @@ impl EwmaMeter {
     }
 }
 
-/// One cache line of counter. The padding keeps adjacent stripes of a
-/// [`ShardedCounter`] off each other's lines so concurrent adds from
-/// different threads stop invalidating one shared line.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-struct CounterStripe {
-    value: AtomicU64,
-}
-
-/// A striped monotonic counter for per-chunk hot paths.
-///
-/// [`Counter`] is one atomic: correct, but at 10k sessions every add is a
-/// cache-line bounce. A `ShardedCounter` spreads adds over `N` padded
-/// stripes selected by a caller-supplied hint (engine-thread index, shard
-/// index, connection id) and sums them on read. Reads are *sloppy*: the
-/// total is a sum of relaxed loads, exact once writers quiesce, and never
-/// ahead of what writers have published — the same read semantics every
-/// statistics snapshot here already has.
-#[derive(Debug)]
-pub struct ShardedCounter {
-    stripes: Vec<CounterStripe>,
-}
-
-impl ShardedCounter {
-    /// A counter with `stripes` stripes (clamped to at least 1).
-    pub fn new(stripes: usize) -> Self {
-        Self {
-            stripes: (0..stripes.max(1))
-                .map(|_| CounterStripe::default())
-                .collect(),
-        }
-    }
-
-    /// Number of stripes.
-    pub fn stripes(&self) -> usize {
-        self.stripes.len()
-    }
-
-    /// Adds `n` to the stripe selected by `hint` (any stable per-thread
-    /// or per-shard number; reduced modulo the stripe count).
-    pub fn add(&self, hint: usize, n: u64) {
-        self.stripes[hint % self.stripes.len()]
-            .value
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds one to the stripe selected by `hint`.
-    pub fn inc(&self, hint: usize) {
-        self.add(hint, 1);
-    }
-
-    /// Sloppy total: the sum of all stripes.
-    pub fn value(&self) -> u64 {
-        self.stripes
-            .iter()
-            .map(|s| s.value.load(Ordering::Relaxed))
-            .sum()
-    }
-}
-
 /// Number of logarithmic buckets: bucket `i` holds samples in
 /// `[2^(i-1), 2^i)` microseconds (bucket 0 holds `0..1`). 40 buckets cover
 /// sub-microsecond through ~6-day latencies.
@@ -355,30 +295,6 @@ mod tests {
         g.inc();
         g.dec();
         assert_eq!(g.get(), 3);
-    }
-
-    #[test]
-    fn sharded_counter_sums_across_stripes() {
-        let c = std::sync::Arc::new(ShardedCounter::new(8));
-        assert_eq!(c.stripes(), 8);
-        let mut handles = Vec::new();
-        for t in 0..4usize {
-            let c = std::sync::Arc::clone(&c);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..10_000 {
-                    c.inc(t);
-                }
-                c.add(t + 100, 5);
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(c.value(), 4 * 10_000 + 4 * 5);
-        // Zero stripes clamps to one and still works.
-        let one = ShardedCounter::new(0);
-        one.add(usize::MAX, 3);
-        assert_eq!(one.value(), 3);
     }
 
     #[test]

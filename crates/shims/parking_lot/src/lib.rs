@@ -38,9 +38,6 @@ pub mod lock_order;
 pub mod lockstats;
 #[cfg(feature = "model")]
 pub mod model;
-pub mod shard;
-
-pub use shard::{shard_hash, ShardedMutex};
 
 use lock_order::Mode;
 use lockstats::LockStats;

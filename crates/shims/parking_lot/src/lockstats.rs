@@ -133,25 +133,6 @@ pub fn most_contended() -> Option<LockStatSnapshot> {
         })
 }
 
-/// The `n` most-contended production lock classes ranked by `wait_ns`
-/// descending (the same ranking and harness-class exclusion as
-/// [`most_contended`]). The scale lab snapshots this before and after a
-/// measured window to build its contention profile.
-pub fn top_contended(n: usize) -> Vec<LockStatSnapshot> {
-    let mut rows: Vec<_> = snapshot()
-        .into_iter()
-        .filter(|s| s.contended > 0 && !harness_class(s.name))
-        .collect();
-    rows.sort_by(|a, b| {
-        b.wait_ns
-            .cmp(&a.wait_ns)
-            .then(b.contended.cmp(&a.contended))
-            .then(a.name.cmp(b.name))
-    });
-    rows.truncate(n);
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,9 +153,6 @@ mod tests {
         waity.note_wait(1_000_000_000);
         let top = most_contended().expect("contended classes exist");
         assert_eq!(top.name, "zz.lockstats.waity");
-        let ranked = top_contended(2);
-        assert_eq!(ranked[0].name, "zz.lockstats.waity");
-        assert_eq!(ranked[1].name, "zz.lockstats.bouncy");
     }
 
     #[test]
@@ -190,13 +168,6 @@ mod tests {
                 !harness_class(top.name),
                 "harness class leaked: {}",
                 top.name
-            );
-        }
-        for row in top_contended(usize::MAX) {
-            assert!(
-                !harness_class(row.name),
-                "harness class leaked: {}",
-                row.name
             );
         }
     }

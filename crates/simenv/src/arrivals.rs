@@ -1,8 +1,7 @@
-//! Arrival-process and size generators for the scale lab.
+//! Arrival-process and size generators for many-session load.
 //!
-//! The 10k-session scale benchmark (`crates/bench/src/bin/scale.rs`) and
-//! the simulated twin both need the same two ingredients the paper's
-//! grid workloads exhibit:
+//! A many-session load generator, and any simulated twin of it, needs
+//! the same two ingredients the paper's grid workloads exhibit:
 //!
 //! * **Flash crowds** — a stampede of sessions arriving in a short burst
 //!   on top of a steady base rate (a batch system releasing a wave of

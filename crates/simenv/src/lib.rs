@@ -30,8 +30,7 @@
 //!   absorption, disk-bound tail, quota bookkeeping overhead).
 //! * [`stats`] — bandwidth/latency accounting.
 //! * [`arrivals`] — seeded flash-crowd arrival and bounded-Pareto size
-//!   generators shared by the 10k-session scale lab (`bench/scale`) and
-//!   its simulated twin.
+//!   generators for many-session load generation.
 
 pub mod arrivals;
 pub mod jbos;

@@ -19,32 +19,24 @@
 //! its one operation but never cached, so a stale descriptor can never be
 //! re-served.
 //!
-//! ## Striping
+//! ## Locking
 //!
-//! The hot lookup path is striped by path hash: every entry for one path
-//! lives in exactly one cell (all cells share the
-//! `storage.handlecache.state` lock class), so chunk I/O on distinct hot
-//! files stops serializing on one mutex. The invalidation epoch stays
-//! global (a lock-free atomic, bumped and checked under the owning cell's
-//! lock), which keeps the insert-vs-invalidate race protocol exactly as
-//! before for same-path races and merely conservative — a spurious
-//! use-once — for cross-path ones. Eviction becomes per-cell LRU with a
-//! per-cell slice of the capacity; the global descriptor bound still
-//! holds because the per-cell caps sum to at most the configured
-//! capacity. Small capacities collapse to a single cell so eviction
-//! order stays exactly LRU when the cache is tiny.
+//! The whole cache — entries, LRU clock and counters — sits behind one
+//! `storage.handlecache.state` mutex, taken once per call and never held
+//! across I/O. Eviction is exact global LRU over the full capacity. The
+//! invalidation epoch is bumped under that lock and also read lock-free
+//! by the zero-copy lease check (see [`HandleCache::epoch`]).
 //!
 //! ## Sizing
 //!
-//! Capacity bounds open descriptors (floor 1); eviction is
-//! least-recently-used within a cell.
+//! Capacity bounds open descriptors (floor 1).
 
 use crate::namespace::VPath;
 use nest_obs::{Counter, Gauge, Obs};
-use parking_lot::{shard_hash, ShardedMutex};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fs::File;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Point-in-time counters for the cache (see also the
@@ -70,11 +62,10 @@ struct Entry {
     stamp: u64,
 }
 
-/// Per-cell state: the entries whose paths hash here, plus this cell's
-/// share of the counters (summed at [`HandleCache::stats`] time).
+/// Everything behind the cache lock.
 struct CacheState {
     entries: HashMap<VPath, Entry>,
-    /// Monotonic use counter backing this cell's LRU stamps.
+    /// Monotonic use counter backing the LRU stamps.
     tick: u64,
     hits: u64,
     misses: u64,
@@ -90,26 +81,18 @@ struct CacheInstruments {
 }
 
 /// The handle cache. Cheap to share (`Arc` internally not required — the
-/// backend owns it); state sits behind short-held per-path-stripe
-/// mutexes, and the actual I/O happens outside the lock on the cloned
-/// `Arc<File>`.
+/// backend owns it); state sits behind one short-held mutex, and the
+/// actual I/O happens outside the lock on the cloned `Arc<File>`.
 pub struct HandleCache {
     capacity: usize,
-    /// Each cell evicts once it holds this many entries; the caps sum to
-    /// ≤ `capacity`, preserving the global descriptor bound.
-    per_cell_capacity: usize,
-    cells: ShardedMutex<CacheState>,
-    /// The invalidation epoch. Bumped (under the affected path's cell
-    /// lock) by every invalidation; insertions captured under an older
-    /// epoch are dropped instead of cached (see module docs). Also read
+    state: Mutex<CacheState>,
+    /// The invalidation epoch. Bumped (under the cache lock) by every
+    /// invalidation; insertions captured under an older epoch are
+    /// dropped instead of cached (see module docs). Also read
     /// lock-free by the zero-copy send path, which revalidates its lease
     /// against the epoch once per `sendfile` span without touching any
     /// cache mutex (or the lock shim's contention instrumentation).
     epoch_fast: AtomicU64,
-    /// Descriptors currently cached, maintained under the cell locks.
-    /// Mirrored here so the `open_fds` gauge can be kept current without
-    /// summing every cell on each miss.
-    open_count: AtomicI64,
     /// Written once by [`HandleCache::register_obs`], then read lock-free
     /// on every lookup, insert and invalidation.
     instruments: OnceLock<CacheInstruments>,
@@ -142,38 +125,24 @@ pub enum Lookup {
     Miss { epoch: u64 },
 }
 
-/// Default stripe count for the hot lookup path.
-pub const DEFAULT_HANDLE_CACHE_SHARDS: usize = 8;
-
 impl HandleCache {
     /// Creates a cache bounding open descriptors to `capacity` (raised to
-    /// at least 1), striped [`DEFAULT_HANDLE_CACHE_SHARDS`] ways.
+    /// at least 1).
     pub fn new(capacity: usize) -> Self {
-        Self::with_shards(capacity, DEFAULT_HANDLE_CACHE_SHARDS)
-    }
-
-    /// Creates a cache with an explicit stripe count (`1` = the
-    /// single-mutex ablation). Small capacities collapse to one cell so
-    /// per-cell capacities stay meaningful (≥ 4) and tiny caches keep
-    /// exact global LRU order.
-    pub fn with_shards(capacity: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let capacity = capacity.max(1);
-        let effective = if capacity >= 4 * shards { shards } else { 1 };
         Self {
-            capacity,
-            per_cell_capacity: capacity / effective,
-            cells: ShardedMutex::new("storage.handlecache.state", 340, effective, |_| {
+            capacity: capacity.max(1),
+            state: Mutex::named(
+                "storage.handlecache.state",
+                340,
                 CacheState {
                     entries: HashMap::new(),
                     tick: 0,
                     hits: 0,
                     misses: 0,
                     evictions: 0,
-                }
-            }),
+                },
+            ),
             epoch_fast: AtomicU64::new(0),
-            open_count: AtomicI64::new(0),
             instruments: OnceLock::new(),
         }
     }
@@ -200,17 +169,15 @@ impl HandleCache {
         });
     }
 
-    /// Current counters (cells are read one at a time; exact once
-    /// concurrent chunk I/O quiesces).
+    /// Current counters.
     pub fn stats(&self) -> HandleCacheStats {
-        let mut out = HandleCacheStats::default();
-        self.cells.for_each_cell(|_, st| {
-            out.hits += st.hits;
-            out.misses += st.misses;
-            out.evictions += st.evictions;
-            out.open += st.entries.len() as u64;
-        });
-        out
+        let st = self.state.lock();
+        HandleCacheStats {
+            hits: st.hits,
+            misses: st.misses,
+            evictions: st.evictions,
+            open: st.entries.len() as u64,
+        }
     }
 
     /// Looks up a handle for `path`. `need_write` demands a handle opened
@@ -220,7 +187,7 @@ impl HandleCache {
     /// Public as the model-harness surface (see [`Lookup`]); production
     /// chunk I/O reaches this only through the backend.
     pub fn lookup(&self, path: &VPath, need_write: bool) -> Lookup {
-        let mut st = self.cells.lock(shard_hash(path));
+        let mut st = self.state.lock();
         st.tick += 1;
         let tick = st.tick;
         if let Some(e) = st.entries.get_mut(path) {
@@ -237,20 +204,17 @@ impl HandleCache {
             // Read-only handle but a write is needed: drop it; the caller
             // reopens read-write and re-inserts.
             st.entries.remove(path);
-            // open_count mirrors the entry map the cell lock orders.
-            // nestlint: allow(atomic-ordering): gauge statistic only
-            self.open_count.fetch_sub(1, Ordering::Relaxed);
         }
         st.misses += 1;
-        // Captured under the cell lock: a same-path invalidation either
-        // already bumped the epoch (so the insert will be dropped) or
-        // serializes behind this cell lock.
+        // Captured under the cache lock: an invalidation either already
+        // bumped the epoch (so the insert will be dropped) or serializes
+        // behind this lock.
         let epoch = self.epoch_fast.load(Ordering::Acquire);
+        let open = st.entries.len() as i64;
         drop(st);
         if let Some(i) = self.instruments.get() {
             i.misses.inc();
-            // nestlint: allow(atomic-ordering): sloppy gauge read.
-            i.open_fds.set(self.open_count.load(Ordering::Relaxed));
+            i.open_fds.set(open);
         }
         Lookup::Miss { epoch }
     }
@@ -263,11 +227,11 @@ impl HandleCache {
     /// Public as the model-harness surface (see [`Lookup`]); production
     /// chunk I/O reaches this only through the backend.
     pub fn insert(&self, path: &VPath, file: Arc<File>, writable: bool, epoch: u64) {
-        let mut st = self.cells.lock(shard_hash(path));
-        // Same-path invalidations serialize on this cell lock, so an
-        // unchanged epoch proves no invalidation of *this* path landed
-        // since lookup. A bump by an unrelated path costs only a
-        // use-once open — conservative, never stale.
+        let mut st = self.state.lock();
+        // Invalidations serialize on this lock, so an unchanged epoch
+        // proves no invalidation landed since lookup. A bump by an
+        // unrelated path costs only a use-once open — conservative,
+        // never stale.
         if self.epoch_fast.load(Ordering::Acquire) != epoch {
             return; // raced an invalidation: use-once, never cache
         }
@@ -275,11 +239,10 @@ impl HandleCache {
         let tick = st.tick;
         let mut evicted = 0u64;
         let replacing = st.entries.contains_key(path);
-        while !replacing && st.entries.len() >= self.per_cell_capacity {
+        while !replacing && st.entries.len() >= self.capacity {
             // LRU eviction: linear scan is fine — capacity is small (it
-            // bounds *open descriptors*, typically ≤ a few hundred split
-            // across cells) and we only scan on insert-at-capacity, never
-            // per chunk.
+            // bounds *open descriptors*, typically ≤ a few hundred) and we
+            // only scan on insert-at-capacity, never per chunk.
             let Some(victim) = st
                 .entries
                 .iter()
@@ -292,7 +255,7 @@ impl HandleCache {
             st.evictions += 1;
             evicted += 1;
         }
-        let prev = st.entries.insert(
+        st.entries.insert(
             path.clone(),
             Entry {
                 file,
@@ -300,25 +263,19 @@ impl HandleCache {
                 stamp: tick,
             },
         );
-        let delta = 1 - evicted as i64 - prev.is_some() as i64;
-        // The cell lock orders the entry mutations this delta mirrors.
-        // nestlint: allow(atomic-ordering): gauge statistic only
-        let open = self.open_count.fetch_add(delta, Ordering::Relaxed) + delta;
         // The cache's whole point is bounding open descriptors: an insert
-        // must never leave more cached FDs in this cell than its share of
-        // the capacity (the per-cell caps sum to ≤ the global bound).
+        // must never leave more cached FDs than the capacity.
         nest_check::invariant!(
-            st.entries.len() <= self.per_cell_capacity,
-            "handlecache cell holds {} open FDs, per-cell capacity is {}",
+            st.entries.len() <= self.capacity,
+            "handlecache holds {} open FDs, capacity is {}",
             st.entries.len(),
-            self.per_cell_capacity
+            self.capacity
         );
+        let open = st.entries.len() as i64;
         drop(st);
-        if evicted > 0 || open > 0 {
-            if let Some(i) = self.instruments.get() {
-                i.evictions.add(evicted);
-                i.open_fds.set(open);
-            }
+        if let Some(i) = self.instruments.get() {
+            i.evictions.add(evicted);
+            i.open_fds.set(open);
         }
     }
 
@@ -332,7 +289,7 @@ impl HandleCache {
         if n == 0 {
             return;
         }
-        self.cells.lock_idx(0).hits += n;
+        self.state.lock().hits += n;
         if let Some(i) = self.instruments.get() {
             i.hits.add(n);
         }
@@ -346,8 +303,8 @@ impl HandleCache {
     /// been removed, renamed, or truncated under it.
     ///
     /// Lock-free: the check runs once per zero-copy span on the engine
-    /// thread, and must not serialize against chunk I/O taking a cache
-    /// stripe. An invalidation racing the read is indistinguishable from
+    /// thread, and must not serialize against chunk I/O taking the cache
+    /// lock. An invalidation racing the read is indistinguishable from
     /// one landing just after it — the lease's `Arc<File>` keeps the
     /// inode alive either way, exactly as a pooled read racing the same
     /// rename would.
@@ -360,36 +317,27 @@ impl HandleCache {
     /// operation that changes what the *name* means: remove, rename (both
     /// ends), truncate, recreate, abort cleanup.
     pub fn invalidate(&self, path: &VPath) {
-        let mut st = self.cells.lock(shard_hash(path));
-        // Bumped while holding the path's cell so a same-path insert can
-        // never interleave between the bump and the removal.
+        let mut st = self.state.lock();
+        // Bumped while holding the lock so an insert can never interleave
+        // between the bump and the removal.
         self.epoch_fast.fetch_add(1, Ordering::AcqRel);
-        if st.entries.remove(path).is_some() {
-            // nestlint: allow(atomic-ordering): gauge statistic only.
-            self.open_count.fetch_sub(1, Ordering::Relaxed);
-        }
+        st.entries.remove(path);
+        let open = st.entries.len() as i64;
         drop(st);
         if let Some(i) = self.instruments.get() {
-            // nestlint: allow(atomic-ordering): sloppy gauge read.
-            i.open_fds.set(self.open_count.load(Ordering::Relaxed));
+            i.open_fds.set(open);
         }
     }
 
-    /// Drops every cached handle (e.g. wholesale namespace changes). The
-    /// epoch is bumped before the sweep, so an insert racing the sweep
-    /// either captured its epoch earlier (dropped by the guard) or after
-    /// the bump (a legitimately fresh post-invalidation entry).
+    /// Drops every cached handle (e.g. wholesale namespace changes) and
+    /// bumps the epoch, so no open that raced the sweep is cached.
     pub fn invalidate_all(&self) {
+        let mut st = self.state.lock();
         self.epoch_fast.fetch_add(1, Ordering::AcqRel);
-        self.cells.for_each_cell(|_, st| {
-            let n = st.entries.len() as i64;
-            st.entries.clear();
-            // nestlint: allow(atomic-ordering): gauge statistic only.
-            self.open_count.fetch_sub(n, Ordering::Relaxed);
-        });
+        st.entries.clear();
+        drop(st);
         if let Some(i) = self.instruments.get() {
-            // nestlint: allow(atomic-ordering): sloppy gauge read.
-            i.open_fds.set(self.open_count.load(Ordering::Relaxed));
+            i.open_fds.set(0);
         }
     }
 }
@@ -487,36 +435,44 @@ mod tests {
     }
 
     #[test]
-    fn striped_cache_keeps_bound_and_hits() {
-        // Large enough capacity to actually stripe (capacity ≥ 4×shards):
-        // the per-cell caps must still sum to ≤ the global bound, and
-        // every inserted path must hit from its own cell.
-        let dir = tempdir("striped");
-        let c = HandleCache::with_shards(32, 4);
-        assert_eq!(c.cells.shards(), 4);
-        for i in 0..64 {
-            let name = format!("f{}", i);
-            let host = tmpfile(&dir, &name, b"x");
-            let path = vp(&format!("/{}", name));
-            let Lookup::Miss { epoch } = c.lookup(&path, false) else {
-                panic!("miss expected");
+    fn cache_holds_whole_capacity_then_evicts_lru() {
+        // Every one of `capacity` slots is usable: 128 distinct hot paths
+        // all stay open, and the 129th insert evicts exactly one handle —
+        // the least recently used, not the first inserted.
+        let dir = tempdir("capacity");
+        let c = HandleCache::new(128);
+        let path = |i: usize| vp(&format!("/f{}", i));
+        let open = |i: usize| {
+            let host = tmpfile(&dir, &format!("f{}", i), b"x");
+            let Lookup::Miss { epoch } = c.lookup(&path(i), false) else {
+                panic!("miss expected for /f{}", i);
             };
-            c.insert(&path, Arc::new(File::open(&host).unwrap()), false, epoch);
-            assert!(matches!(c.lookup(&path, false), Lookup::Hit(_)));
+            c.insert(&path(i), Arc::new(File::open(&host).unwrap()), false, epoch);
+        };
+        for i in 0..128 {
+            open(i);
         }
+        assert_eq!(c.stats().evictions, 0);
+        // Touch newest-first, so /f127 becomes the least recently used.
+        for i in (0..128).rev() {
+            assert!(
+                matches!(c.lookup(&path(i), false), Lookup::Hit(_)),
+                "/f{} evicted",
+                i
+            );
+        }
+        assert_eq!(c.stats().evictions, 0);
+        open(128);
         let s = c.stats();
-        assert!(s.open <= 32, "open {} exceeds capacity", s.open);
-        assert_eq!(s.hits, 64);
+        assert_eq!((s.evictions, s.open), (1, 128));
+        assert!(matches!(c.lookup(&path(127), false), Lookup::Miss { .. }));
+        for i in (0..127).chain([128]) {
+            assert!(
+                matches!(c.lookup(&path(i), false), Lookup::Hit(_)),
+                "/f{} evicted",
+                i
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn tiny_capacity_collapses_to_one_cell() {
-        // Capacity below 4×shards must fall back to a single cell so LRU
-        // order stays globally exact.
-        let c = HandleCache::with_shards(2, 8);
-        assert_eq!(c.cells.shards(), 1);
-        let c = HandleCache::with_shards(64, 8);
-        assert_eq!(c.cells.shards(), 8);
     }
 }

@@ -269,9 +269,7 @@ impl StorageManager {
         self
     }
 
-    /// Does nothing: the lot table is one table behind one lock at any
-    /// stripe count. Kept only because the `nestmark` benchmark's mirrored
-    /// dispatcher still calls it; nothing in the appliance does.
+    /// Ignored; delete in the benchmark-only PR for ROADMAP 1(b).
     pub fn with_shards(self, _shards: usize) -> Self {
         self
     }

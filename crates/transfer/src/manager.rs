@@ -20,7 +20,7 @@ use crate::flow::{DataSink, DataSource, Flow, FlowId, FlowMeta, StepOutcome};
 use crate::sched::{CacheAwareScheduler, FcfsScheduler, Scheduler, StrideScheduler};
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use nest_obs::{Counter, EwmaMeter, Gauge, Histogram, Obs};
-use parking_lot::ShardedMutex;
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -66,10 +66,7 @@ pub struct TransferConfig {
     /// Observability registry; `None` leaves the engine uninstrumented
     /// (zero overhead on the data path).
     pub obs: Option<Arc<Obs>>,
-    /// Stripe count for the delivered-stats cells (`1` = the single-mutex
-    /// ablation). Completion accounting picks a cell by flow id, so a
-    /// stats snapshot walking the cells never stalls the engine's finish
-    /// path on one hot mutex.
+    /// Ignored; delete in the benchmark-only PR for ROADMAP 1(b).
     pub shards: usize,
 }
 
@@ -306,7 +303,7 @@ enum EngineMsg {
 /// The transfer manager.
 pub struct TransferManager {
     tx: Sender<EngineMsg>,
-    stats: Arc<ShardedMutex<TransferStats>>,
+    stats: Arc<Mutex<TransferStats>>,
     next_id: AtomicU64,
     pool: BufPool,
     engine: Option<std::thread::JoinHandle<()>>,
@@ -330,11 +327,10 @@ impl TransferManager {
             pool.register_obs(obs);
         }
         let (tx, rx) = unbounded();
-        let stats = Arc::new(ShardedMutex::new(
+        let stats = Arc::new(Mutex::named(
             "transfer.stats",
             200,
-            config.shards.max(1),
-            |_| TransferStats::default(),
+            TransferStats::default(),
         ));
         let engine_stats = Arc::clone(&stats);
         let engine_tx = tx.clone();
@@ -384,27 +380,9 @@ impl TransferManager {
         &self.pool
     }
 
-    /// Snapshot of delivered statistics, merged across the stats cells
-    /// (cells are read one at a time; exact once completions quiesce).
+    /// Snapshot of delivered statistics.
     pub fn stats(&self) -> TransferStats {
-        let mut out = TransferStats::default();
-        self.stats.for_each_cell(|_, cell| {
-            for (name, c) in &cell.classes {
-                let agg = out.classes.entry(name.clone()).or_default();
-                agg.bytes += c.bytes;
-                agg.completed += c.completed;
-                agg.failed += c.failed;
-                agg.total_latency += c.total_latency;
-            }
-            for (model, n) in &cell.per_model {
-                *out.per_model.entry(*model).or_insert(0) += n;
-            }
-            out.failures += cell.failures;
-            out.retries += cell.retries;
-            out.deadline_exceeded += cell.deadline_exceeded;
-            out.cancelled += cell.cancelled;
-        });
-        out
+        self.stats.lock().clone()
     }
 
     /// Stops the engine after in-flight transfers finish.
@@ -463,7 +441,7 @@ struct Engine {
     /// Event-model flows waiting out a retry backoff; re-admitted to the
     /// scheduler when their instant arrives. Still counted as in-flight.
     retry_queue: Vec<(Instant, EventFlow)>,
-    stats: Arc<ShardedMutex<TransferStats>>,
+    stats: Arc<Mutex<TransferStats>>,
     outstanding_external: usize,
     shutting_down: bool,
     metrics: Option<EngineMetrics>,
@@ -477,7 +455,7 @@ impl Engine {
         config: TransferConfig,
         rx: Receiver<EngineMsg>,
         self_tx: Sender<EngineMsg>,
-        stats: Arc<ShardedMutex<TransferStats>>,
+        stats: Arc<Mutex<TransferStats>>,
     ) -> Self {
         let scheduler: Box<dyn Scheduler> = match &config.policy {
             SchedPolicy::Fcfs => Box::new(FcfsScheduler::new()),
@@ -915,9 +893,7 @@ impl Engine {
             }
         }
         {
-            // Cell by flow id: completions spread across the stripes, so a
-            // concurrent stats() walk never stalls this finish path.
-            let mut stats = self.stats.lock(completion.meta.id.0);
+            let mut stats = self.stats.lock();
             let class = stats
                 .classes
                 .entry(completion.meta.class.clone())

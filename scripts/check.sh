@@ -89,11 +89,4 @@ cargo test -q --manifest-path benchmark/Cargo.toml
 echo "==> nestmark smoke (live appliance, all seven fronts; exits non-zero on any verification failure)"
 cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- smoke
 
-echo "==> scale bench smoke (10k-session churn vs shards=1 ablation, JSON schema check)"
-cargo run --release -p nest-bench --bin scale -- --smoke --out target/scale_smoke.json
-for key in throughput_hold_ratio ablation_hold_ratio top_contended_before top_contended_after virtual_hold_ratio; do
-  grep -q "\"$key\"" target/scale_smoke.json ||
-    { echo "scale smoke JSON missing key: $key" >&2; exit 1; }
-done
-
 echo "==> all checks passed"
