@@ -94,14 +94,9 @@ fn main() {
     for (name, model) in [
         ("events", ModelSelection::Fixed(ModelKind::Events)),
         ("threads", ModelSelection::Fixed(ModelKind::Threads)),
-        ("processes", ModelSelection::Fixed(ModelKind::Processes)),
         (
             "adaptive",
-            ModelSelection::Adaptive(vec![
-                ModelKind::Events,
-                ModelKind::Threads,
-                ModelKind::Processes,
-            ]),
+            ModelSelection::Adaptive(vec![ModelKind::Events, ModelKind::Threads]),
         ),
     ] {
         let (chirp, http, models) = run_config(name, model);

@@ -31,7 +31,7 @@ fn usage() -> ! {
   --tickets a=100,b=200    stride tickets per class
   --non-work-conserving    stride idles for the favored class
   --per-user               schedule per user instead of per protocol
-  --model <adaptive|events|threads|processes>
+  --model <adaptive|events|threads>
   --gridmap <file>         grid-mapfile for simulated-GSI authentication
   --ca-secret <hex>        trusted CA secret (with --gridmap)
   --default-lot user=SIZE[,SECS]      grant a lot at startup (repeatable)
@@ -98,14 +98,11 @@ fn main() {
             }
             "--model" => {
                 config.model = match val() {
-                    "adaptive" => ModelSelection::Adaptive(vec![
-                        ModelKind::Threads,
-                        ModelKind::Processes,
-                        ModelKind::Events,
-                    ]),
+                    "adaptive" => {
+                        ModelSelection::Adaptive(vec![ModelKind::Threads, ModelKind::Events])
+                    }
                     "events" => ModelSelection::Fixed(ModelKind::Events),
                     "threads" => ModelSelection::Fixed(ModelKind::Threads),
-                    "processes" => ModelSelection::Fixed(ModelKind::Processes),
                     _ => usage(),
                 };
             }

@@ -218,11 +218,7 @@ impl Default for NestConfig {
             reclaim: nest_storage::ReclaimPolicy::ExpiredFirst,
             sched: SchedPolicy::Fcfs,
             sched_class: SchedClass::Protocol,
-            model: ModelSelection::Adaptive(vec![
-                ModelKind::Threads,
-                ModelKind::Processes,
-                ModelKind::Events,
-            ]),
+            model: ModelSelection::Adaptive(vec![ModelKind::Threads, ModelKind::Events]),
             gsi: None,
             ports: Ports::default(),
             cache_bytes: 256 << 20,

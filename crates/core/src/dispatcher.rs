@@ -11,7 +11,6 @@
 //! [`Dispatcher::storage_ad`] builds that ad.
 
 use crate::config::{BackendKind, NestConfig, SchedClass};
-use crate::procpool::SubprocessLauncher;
 use nest_classad::ClassAd;
 use nest_obs::{Counter, Histogram, Obs};
 use nest_proto::gridftp::{third_party, GridFtpClient};
@@ -159,7 +158,6 @@ impl Dispatcher {
             policy: config.sched.clone(),
             model: config.model.clone(),
             chunk_size: 64 * 1024,
-            process_launcher: Arc::new(SubprocessLauncher::new()),
             obs: Some(Arc::clone(&obs)),
             ..TransferConfig::default()
         });

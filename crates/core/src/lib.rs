@@ -25,8 +25,8 @@
 //!   addresses for clients.
 //! * [`fhtable`] — the NFS file-handle table (handle ↔ virtual path, with
 //!   generation tags so deleted files yield `NFSERR_STALE`).
-//! * [`procpool`] — the real child-process launcher behind the process
-//!   concurrency model: flow bytes are piped through a worker process.
+//! * [`procpool`] — a no-op placeholder the benchmark still names; the
+//!   appliance runs no process concurrency model (DESIGN §2).
 //! * [`session`] — the shared connection-lifecycle subsystem: one poller
 //!   thread multiplexing every listening socket, bounded per-protocol
 //!   worker pools with admission control, idle reaping, and graceful

@@ -70,6 +70,7 @@ fn nestd_rejects_bad_arguments() {
         vec!["--capacity", "not-a-size"],
         vec!["--sched", "quantum-fair"],
         vec!["--model", "fibers"],
+        vec!["--model", "processes"],
         vec!["--no-such-flag"],
     ] {
         let status = Command::new(exe)

@@ -12,13 +12,13 @@ use nest_transfer::ModelKind;
 #[derive(Debug, Clone, Copy)]
 pub struct ModelCosts {
     /// One-time cost to start serving a request under this model
-    /// (event registration / thread spawn / process dispatch).
+    /// (event registration / thread spawn).
     pub dispatch: f64,
     /// CPU charged per chunk moved (context switches, framing).
     pub per_chunk: f64,
-    /// Whether disk and network transfers overlap (threads and processes
-    /// overlap via blocking I/O in separate contexts; a single-threaded
-    /// event loop serializes them).
+    /// Whether disk and network transfers overlap (threads overlap via
+    /// blocking I/O in separate contexts; a single-threaded event loop
+    /// serializes them).
     pub overlapped_io: bool,
 }
 
@@ -91,11 +91,6 @@ impl PlatformProfile {
                     per_chunk: 14e-6,
                     overlapped_io: true,
                 },
-                ModelKind::Processes => ModelCosts {
-                    dispatch: 900e-6,
-                    per_chunk: 22e-6,
-                    overlapped_io: true,
-                },
             }
         }
         fn client_turnaround(class: &str) -> f64 {
@@ -150,11 +145,6 @@ impl PlatformProfile {
                 ModelKind::Threads => ModelCosts {
                     dispatch: 700e-6,
                     per_chunk: 60e-6,
-                    overlapped_io: true,
-                },
-                ModelKind::Processes => ModelCosts {
-                    dispatch: 4000e-6,
-                    per_chunk: 120e-6,
                     overlapped_io: true,
                 },
             }
@@ -215,8 +205,7 @@ mod tests {
         assert!(p.overhead("s3") < p.overhead("gridftp"));
         let ev = p.model_costs(ModelKind::Events);
         let th = p.model_costs(ModelKind::Threads);
-        let pr = p.model_costs(ModelKind::Processes);
-        assert!(ev.dispatch < th.dispatch && th.dispatch < pr.dispatch);
+        assert!(ev.dispatch < th.dispatch);
         assert!(!ev.overlapped_io && th.overlapped_io);
     }
 

@@ -373,7 +373,6 @@ fn model_name(m: ModelKind) -> &'static str {
     match m {
         ModelKind::Events => "events",
         ModelKind::Threads => "threads",
-        ModelKind::Processes => "processes",
     }
 }
 

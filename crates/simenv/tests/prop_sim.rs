@@ -53,7 +53,6 @@ fn arb_model() -> impl Strategy<Value = SimModel> {
     prop_oneof![
         Just(SimModel::Fixed(ModelKind::Events)),
         Just(SimModel::Fixed(ModelKind::Threads)),
-        Just(SimModel::Fixed(ModelKind::Processes)),
         Just(SimModel::Adaptive(vec![
             ModelKind::Events,
             ModelKind::Threads

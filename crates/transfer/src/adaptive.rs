@@ -8,7 +8,7 @@
 //! The selector keeps an exponentially weighted moving average of each
 //! model's observed throughput. During a warmup window assignments rotate
 //! round-robin; afterwards the best-scoring model receives most requests,
-//! with a periodic exploration slot cycling through the alternatives so the
+//! with a periodic exploration slot that probes the other model so the
 //! choice can track workload shifts. This periodic re-measurement is the
 //! "cost for adaptation" visible in Figure 5: the adaptive line sits
 //! between the best and worst pure models.
@@ -40,10 +40,9 @@ pub struct AdaptiveSelector {
     assignments: u64,
     /// Assignments during which models rotate round-robin.
     warmup: u64,
-    /// After warmup, every `explore_period`-th assignment probes a
-    /// non-best model (rotating through them).
+    /// After warmup, every `explore_period`-th assignment probes the
+    /// first non-best model.
     explore_period: u64,
-    explore_cursor: usize,
 }
 
 impl AdaptiveSelector {
@@ -59,7 +58,6 @@ impl AdaptiveSelector {
             assignments: 0,
             warmup,
             explore_period: 8,
-            explore_cursor: 0,
         }
     }
 
@@ -91,14 +89,11 @@ impl AdaptiveSelector {
             return self.models[(n % self.models.len() as u64) as usize];
         }
         let best = self.best();
-        if self.explore_period > 0 && n.is_multiple_of(self.explore_period) && self.models.len() > 1
-        {
-            // Periodic exploration: rotate through the non-best models.
-            let others: Vec<ModelKind> =
-                self.models.iter().copied().filter(|m| *m != best).collect();
-            let pick = others[self.explore_cursor % others.len()];
-            self.explore_cursor += 1;
-            return pick;
+        if self.explore_period > 0 && n.is_multiple_of(self.explore_period) {
+            // Periodic exploration: probe the other model.
+            if let Some(other) = self.models.iter().copied().find(|m| *m != best) {
+                return other;
+            }
         }
         best
     }
@@ -219,29 +214,27 @@ mod tests {
     use super::*;
 
     fn all_models() -> Vec<ModelKind> {
-        vec![ModelKind::Threads, ModelKind::Processes, ModelKind::Events]
+        vec![ModelKind::Threads, ModelKind::Events]
     }
 
     #[test]
     fn warmup_distributes_equally() {
-        let mut s = AdaptiveSelector::new(all_models()).with_warmup(12);
+        let mut s = AdaptiveSelector::new(all_models()).with_warmup(8);
         let mut counts: HashMap<ModelKind, u32> = HashMap::new();
-        for _ in 0..12 {
+        for _ in 0..8 {
             *counts.entry(s.choose()).or_insert(0) += 1;
         }
         assert_eq!(counts[&ModelKind::Threads], 4);
-        assert_eq!(counts[&ModelKind::Processes], 4);
         assert_eq!(counts[&ModelKind::Events], 4);
     }
 
     #[test]
     fn converges_to_fastest_model() {
-        let mut s = AdaptiveSelector::new(all_models()).with_warmup(6);
-        // Feed observations: events 3x faster than threads, processes slow.
+        let mut s = AdaptiveSelector::new(all_models()).with_warmup(4);
+        // Feed observations: events 3x faster than threads.
         for _ in 0..20 {
             s.report(ModelKind::Events, 3_000_000, 1.0);
             s.report(ModelKind::Threads, 1_000_000, 1.0);
-            s.report(ModelKind::Processes, 300_000, 1.0);
         }
         assert_eq!(s.best(), ModelKind::Events);
         let mut counts: HashMap<ModelKind, u32> = HashMap::new();
@@ -253,7 +246,6 @@ mod tests {
             let tput = match m {
                 ModelKind::Events => 3_000_000,
                 ModelKind::Threads => 1_000_000,
-                ModelKind::Processes => 300_000,
             };
             s.report(m, tput, 1.0);
         }
@@ -263,9 +255,8 @@ mod tests {
             "events got only {} of 800 assignments",
             events
         );
-        // But exploration means the others are still probed.
+        // But exploration means the other is still probed.
         assert!(counts[&ModelKind::Threads] > 0);
-        assert!(counts[&ModelKind::Processes] > 0);
     }
 
     #[test]
@@ -291,20 +282,19 @@ mod tests {
 
     #[test]
     fn exploration_rate_is_fixed_by_construction() {
-        // After warmup, with stable scores, every 8th pick explores and
-        // the explorations alternate over the two non-best models. Each
-        // exploration is two switches (away and back): 250 per 1,000
-        // picks, with 1/16 of all flows going to each non-best model. This
-        // is the rate `transfer.adaptive.switches_per_kop` reads on every
-        // workload — the paper's periodic re-measurement, not thrash.
+        // After warmup, with stable scores, every 8th pick explores the
+        // non-best model. Each exploration is two switches (away and
+        // back): 250 per 1,000 picks, with 1/8 of all flows going to the
+        // non-best model. This is the rate
+        // `transfer.adaptive.switches_per_kop` reads on every workload —
+        // the paper's periodic re-measurement, not thrash.
         let mut s = AdaptiveSelector::new(all_models());
         let mut last = None;
-        for _ in 0..12 {
+        for _ in 0..8 {
             last = Some(s.choose()); // warmup: 4 picks per model
         }
         s.report(ModelKind::Events, 3_000_000, 1.0);
         s.report(ModelKind::Threads, 1_000_000, 1.0);
-        s.report(ModelKind::Processes, 300_000, 1.0);
         let mut switches = 0;
         let mut counts: HashMap<ModelKind, u32> = HashMap::new();
         for _ in 0..2000 {
@@ -316,9 +306,8 @@ mod tests {
             *counts.entry(m).or_insert(0) += 1;
         }
         assert_eq!(switches, 2 * 250);
-        assert_eq!(counts[&ModelKind::Threads], 2000 / 16);
-        assert_eq!(counts[&ModelKind::Processes], 2000 / 16);
-        assert_eq!(counts[&ModelKind::Events], 2000 - 2 * 2000 / 16);
+        assert_eq!(counts[&ModelKind::Threads], 2000 / 8);
+        assert_eq!(counts[&ModelKind::Events], 2000 - 2000 / 8);
     }
 
     #[test]
@@ -333,9 +322,9 @@ mod tests {
     fn unmeasured_model_wins_optimistically() {
         let mut s = AdaptiveSelector::new(all_models()).with_warmup(0);
         s.report(ModelKind::Threads, 100, 1.0);
-        // Events and Processes are unmeasured → optimistic infinity → one
-        // of them is "best" until measured.
-        assert_ne!(s.best(), ModelKind::Threads);
+        // Events is unmeasured → optimistic infinity → "best" until
+        // measured.
+        assert_eq!(s.best(), ModelKind::Events);
     }
 
     #[test]
@@ -344,10 +333,10 @@ mod tests {
         // optimistic INFINITY score (failures were simply not reported)
         // and was picked forever. `report_failure` must create a real
         // (zero) score so the broken model stops attracting traffic.
-        let mut s = AdaptiveSelector::new(vec![ModelKind::Threads, ModelKind::Processes])
+        let mut s = AdaptiveSelector::new(all_models())
             .with_warmup(0)
             .with_explore_period(0);
-        s.report_failure(ModelKind::Processes);
+        s.report_failure(ModelKind::Events);
         s.report(ModelKind::Threads, 1_000_000, 1.0);
         assert_eq!(s.best(), ModelKind::Threads);
         for _ in 0..32 {
@@ -359,7 +348,7 @@ mod tests {
     fn failures_decay_an_established_score() {
         let mut s = AdaptiveSelector::new(all_models());
         s.report(ModelKind::Events, 1_000_000, 1.0);
-        let before = s.scores()[2].1.unwrap();
+        let before = s.scores()[1].1.unwrap();
         for _ in 0..10 {
             s.report_failure(ModelKind::Events);
         }

@@ -1,27 +1,20 @@
-//! The three concurrency models (paper §4.1).
+//! The concurrency models (paper §4.1).
 //!
 //! "NeST currently supports three models of concurrency (threads, processes,
 //! and events)... there is no single standard for concurrency across
 //! operating systems: on some platforms, the best choice is to use threads,
 //! on others, processes, and in other cases, events."
 //!
+//! This crate runs two of them; the paper's own Fig. 5 runs without the
+//! process model (DESIGN §2 says why it is not reproduced).
+//!
 //! * **Events** — a single engine thread interleaves all flows chunk by
 //!   chunk under the active [`crate::sched::Scheduler`]. Cheapest dispatch,
 //!   no context switches; serialized I/O.
 //! * **Threads** — each transfer is pumped to completion on its own OS
-//!   thread, taken from a cached worker pool ([`run_pooled`]): a thread is
-//!   spawned only when none is parked. Pays a hand-off and context
-//!   switches; overlaps I/O.
-//! * **Processes** — transfers dispatched to worker *processes*. Rust's
-//!   standard library cannot pass file descriptors between processes, so
-//!   the launcher is pluggable ([`ProcessLauncher`]): `nest-core` provides
-//!   persistent child worker processes that relay each chunk over pipes,
-//!   and the default in-crate launcher emulates the model's cost profile
-//!   (per-dispatch process overhead) on the worker pool. The simulation
-//!   substrate costs the model directly.
-//!
-//! Neither external model creates an OS thread or a process per flow: both
-//! are hosted on the same worker pool.
+//!   thread, taken from a cached worker pool: a thread is spawned only
+//!   when none is parked. Pays a hand-off and context switches; overlaps
+//!   I/O.
 
 use crate::fault::{cancelled_error, classify, deadline_error, ErrorClass, FailureKind};
 use crate::flow::{Flow, StepOutcome};
@@ -37,8 +30,6 @@ use std::time::{Duration, Instant};
 pub enum ModelKind {
     /// Each transfer pumped on its own pooled OS thread.
     Threads,
-    /// Worker processes (or an emulation; see [`ProcessLauncher`]).
-    Processes,
     /// Single-threaded event loop.
     Events,
 }
@@ -47,7 +38,6 @@ impl fmt::Display for ModelKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ModelKind::Threads => write!(f, "threads"),
-            ModelKind::Processes => write!(f, "processes"),
             ModelKind::Events => write!(f, "events"),
         }
     }
@@ -81,54 +71,6 @@ pub struct Completion {
     pub zc_fell_back: bool,
 }
 
-/// Launches a flow under the process model.
-///
-/// The default [`EmulatedProcessLauncher`] runs the flow on a pooled worker
-/// thread after paying a configurable per-dispatch overhead, reproducing
-/// the model's cost profile. `nest-core` provides a launcher backed by real
-/// child worker processes.
-pub trait ProcessLauncher: Send + Sync + 'static {
-    /// Runs the flow to completion, invoking `on_done` with the outcome.
-    fn launch(&self, flow: Flow, on_done: Box<dyn FnOnce(Completion) + Send>);
-}
-
-/// Thread-backed emulation of the process model with explicit dispatch
-/// overhead (process creation is the model's defining cost).
-pub struct EmulatedProcessLauncher {
-    /// Simulated per-dispatch process-creation cost.
-    pub dispatch_overhead: Duration,
-}
-
-impl EmulatedProcessLauncher {
-    /// Creates a launcher with the given per-dispatch overhead.
-    pub fn new(dispatch_overhead: Duration) -> Self {
-        Self { dispatch_overhead }
-    }
-}
-
-impl Default for EmulatedProcessLauncher {
-    fn default() -> Self {
-        // A fork+exec on 2002-era hardware was on the order of a
-        // millisecond; modern machines are faster but the *relative* cost
-        // versus threads/events is what matters to the adaptation logic.
-        Self::new(Duration::from_micros(500))
-    }
-}
-
-impl ProcessLauncher for EmulatedProcessLauncher {
-    fn launch(&self, flow: Flow, on_done: Box<dyn FnOnce(Completion) + Send>) {
-        let overhead = self.dispatch_overhead;
-        run_pooled(move || {
-            let start = Instant::now();
-            if !overhead.is_zero() {
-                std::thread::sleep(overhead);
-            }
-            let completion = run_flow(flow, ModelKind::Processes, start);
-            on_done(completion);
-        });
-    }
-}
-
 /// One attempt's outcome, distinguished so the retry loop knows what is
 /// retryable.
 enum PumpEnd {
@@ -138,13 +80,9 @@ enum PumpEnd {
     Io(io::Error),
 }
 
-/// Pumps a flow with `step`, honoring the cancellation token and the
-/// absolute deadline between chunks.
-fn pump(
-    flow: &mut Flow,
-    deadline: Option<Instant>,
-    step: &mut impl FnMut(&mut Flow) -> io::Result<StepOutcome>,
-) -> PumpEnd {
+/// Pumps a flow, honoring the cancellation token and the absolute
+/// deadline between chunks.
+fn pump(flow: &mut Flow, deadline: Option<Instant>) -> PumpEnd {
     loop {
         if flow.meta.is_cancelled() {
             return PumpEnd::Cancelled;
@@ -152,7 +90,7 @@ fn pump(
         if deadline.is_some_and(|d| Instant::now() >= d) {
             return PumpEnd::Deadline;
         }
-        match step(flow) {
+        match flow.step() {
             Ok(StepOutcome::Moved(_)) => continue,
             Ok(StepOutcome::Finished) => return PumpEnd::Finished,
             Err(e) => return PumpEnd::Io(e),
@@ -161,28 +99,15 @@ fn pump(
 }
 
 /// Runs a flow to completion on the current thread, producing a completion
-/// record. Shared by the thread and process executors.
+/// record: the thread model's executor.
 ///
-/// This is the external models' failure domain: transient I/O errors are
+/// This is the thread model's failure domain: transient I/O errors are
 /// retried (with backoff) within the flow's
 /// [`crate::fault::RetryPolicy`] budget as long as both endpoints can be
 /// replayed; the cancellation token and deadline are honored between
 /// chunks; and a terminal failure aborts the sink so partial output is
 /// cleaned up.
-pub fn run_flow(flow: Flow, model: ModelKind, start: Instant) -> Completion {
-    run_flow_with(flow, model, start, Flow::step)
-}
-
-/// [`run_flow`] with the chunk mover supplied by the caller. The process
-/// model passes one that relays every chunk through a worker process
-/// ([`Flow::step_through`]); retry, cancellation, deadline and abort
-/// semantics are the same for every mover.
-pub fn run_flow_with(
-    mut flow: Flow,
-    model: ModelKind,
-    start: Instant,
-    mut step: impl FnMut(&mut Flow) -> io::Result<StepOutcome>,
-) -> Completion {
+fn run_flow(mut flow: Flow, start: Instant) -> Completion {
     let deadline = flow.meta.deadline.map(|d| start + d);
     let policy = flow.meta.retry.clone();
     let mut retries = 0u32;
@@ -190,7 +115,7 @@ pub fn run_flow_with(
         bytes: flow.moved(),
         meta: flow.meta.clone(),
         elapsed: start.elapsed(),
-        model,
+        model: ModelKind::Threads,
         result,
         retries,
         aborted,
@@ -199,7 +124,7 @@ pub fn run_flow_with(
         zc_fell_back: flow.zc_fell_back(),
     };
     loop {
-        match pump(&mut flow, deadline, &mut step) {
+        match pump(&mut flow, deadline) {
             PumpEnd::Finished => return done(&flow, Ok(()), retries, false, None),
             PumpEnd::Cancelled => {
                 flow.abort();
@@ -246,25 +171,23 @@ pub fn run_flow_with(
 pub fn launch_thread(flow: Flow, on_done: Box<dyn FnOnce(Completion) + Send>) {
     run_pooled(move || {
         let start = Instant::now();
-        let completion = run_flow(flow, ModelKind::Threads, start);
+        let completion = run_flow(flow, start);
         on_done(completion);
     });
 }
 
 /// Runs `job` on a thread of the process-wide worker pool — the host of
-/// every thread- and process-model flow. A thread is spawned only when
-/// none is parked.
-pub fn run_pooled(job: impl FnOnce() + Send + 'static) {
+/// every thread-model flow. A thread is spawned only when none is parked.
+fn run_pooled(job: impl FnOnce() + Send + 'static) {
     static POOL: OnceLock<WorkerPool> = OnceLock::new();
     POOL.get_or_init(WorkerPool::new).run(Box::new(job));
 }
 
 /// Idle threads the worker pool keeps parked. A burst of concurrent
-/// external flows beyond this spawns threads that exit after their flow
-/// instead of parking: the buffer pool's `POOL_MAX_IDLE` rule, and like it
-/// a constant, not a setting. `nest-core`'s process workers use the same
-/// bound.
-pub const WORKER_MAX_IDLE: usize = 16;
+/// thread-model flows beyond this spawns threads that exit after their
+/// flow instead of parking: the buffer pool's `POOL_MAX_IDLE` rule, and
+/// like it a constant, not a setting.
+const WORKER_MAX_IDLE: usize = 16;
 
 type Job = Box<dyn FnOnce() + Send>;
 
@@ -338,9 +261,6 @@ fn work(mut job: Job, mut home: Sender<Dispatch>, inbox: Receiver<Dispatch>, idl
     }
 }
 
-/// A shared handle to a process launcher.
-pub type SharedProcessLauncher = Arc<dyn ProcessLauncher>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,20 +287,6 @@ mod tests {
         assert_eq!(c.bytes, 100_000);
         assert_eq!(c.model, ModelKind::Threads);
         assert!(c.result.is_ok());
-    }
-
-    #[test]
-    fn emulated_process_model_pays_overhead() {
-        let launcher = EmulatedProcessLauncher::new(Duration::from_millis(20));
-        let (tx, rx) = mpsc::channel();
-        launcher.launch(test_flow(2, 10), Box::new(move |c| tx.send(c).unwrap()));
-        let c = rx.recv().unwrap();
-        assert_eq!(c.model, ModelKind::Processes);
-        assert!(
-            c.elapsed >= Duration::from_millis(20),
-            "elapsed {:?} below dispatch overhead",
-            c.elapsed
-        );
     }
 
     /// Waits until `n` threads are parked in `pool`.
@@ -459,7 +365,6 @@ mod tests {
     #[test]
     fn model_kind_display() {
         assert_eq!(ModelKind::Threads.to_string(), "threads");
-        assert_eq!(ModelKind::Processes.to_string(), "processes");
         assert_eq!(ModelKind::Events.to_string(), "events");
     }
 
@@ -477,7 +382,7 @@ mod tests {
             Box::new(Vec::new()),
             1024,
         );
-        let c = run_flow(flow, ModelKind::Events, Instant::now());
+        let c = run_flow(flow, Instant::now());
         assert!(c.result.is_err());
         assert_eq!(c.bytes, 0);
     }

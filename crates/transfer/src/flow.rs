@@ -330,28 +330,12 @@ impl Flow {
                 return Ok(outcome);
             }
         }
-        self.step_through(|_| Ok(()))
-    }
-
-    /// Moves one chunk from source to sink through the pooled staging
-    /// buffer, handing it to `stage` in between. `stage` may rewrite the
-    /// chunk in place: the process model relays it through a worker
-    /// process and reads it back into the same bytes. Never takes the
-    /// zero-copy path, since every byte must pass through `stage`.
-    pub fn step_through(
-        &mut self,
-        stage: impl FnOnce(&mut [u8]) -> io::Result<()>,
-    ) -> io::Result<StepOutcome> {
-        if self.done {
-            return Ok(StepOutcome::Finished);
-        }
         let n = self.source.read_chunk(&mut self.buf)?;
         if n == 0 {
             self.sink.finish()?;
             self.done = true;
             return Ok(StepOutcome::Finished);
         }
-        stage(&mut self.buf[..n])?;
         self.sink.write_chunk(&self.buf[..n])?;
         self.moved += n as u64;
         Ok(StepOutcome::Moved(n))

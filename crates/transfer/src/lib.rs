@@ -16,8 +16,8 @@
 //!   transfers allocate nothing per flow or per chunk.
 //! * [`cache`] — the gray-box buffer-cache model behind cache-aware
 //!   scheduling: an LRU simulation of the kernel page cache.
-//! * [`concurrency`] — the three concurrency models (threads, processes,
-//!   events) behind one executor interface.
+//! * [`concurrency`] — the two concurrency models (threads, events) behind
+//!   one executor interface.
 //! * [`adaptive`] — the model selector: "distributing requests among the
 //!   architectures equally at first, monitoring their progress, and then
 //!   slowly biasing requests toward the most effective choice."

@@ -6,21 +6,21 @@
 //!
 //! The manager owns an engine thread. Event-model flows are interleaved on
 //! that thread, chunk by chunk, under the configured scheduling policy;
-//! thread- and process-model flows are dispatched out and their completions
-//! fed back. A single [`crate::adaptive::AdaptiveSelector`] (when enabled)
-//! assigns each incoming transfer to a model and learns from completions.
+//! thread-model flows are dispatched to the worker pool and their
+//! completions fed back. A single [`crate::adaptive::AdaptiveSelector`]
+//! (when enabled) assigns each incoming transfer to a model and learns from
+//! completions.
 
 use crate::adaptive::AdaptiveSelector;
 use crate::bufpool::BufPool;
-use crate::concurrency::{
-    launch_thread, Completion, EmulatedProcessLauncher, ModelKind, SharedProcessLauncher,
-};
+use crate::concurrency::{launch_thread, Completion, ModelKind};
 use crate::fault::{cancelled_error, classify, deadline_error, ErrorClass, FailureKind};
 use crate::flow::{DataSink, DataSource, Flow, FlowId, FlowMeta, StepOutcome};
 use crate::sched::{CacheAwareScheduler, FcfsScheduler, Scheduler, StrideScheduler};
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use nest_obs::{Counter, EwmaMeter, Gauge, Histogram, Obs};
 use parking_lot::Mutex;
+use std::any::Any;
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -61,8 +61,8 @@ pub struct TransferConfig {
     pub model: ModelSelection,
     /// Chunk size for event-model interleaving.
     pub chunk_size: usize,
-    /// Launcher for the process model.
-    pub process_launcher: SharedProcessLauncher,
+    /// Ignored; delete in the benchmark-only PR for ROADMAP 1(b).
+    pub process_launcher: Arc<dyn Any + Send + Sync>,
     /// Observability registry; `None` leaves the engine uninstrumented
     /// (zero overhead on the data path).
     pub obs: Option<Arc<Obs>>,
@@ -74,13 +74,9 @@ impl Default for TransferConfig {
     fn default() -> Self {
         Self {
             policy: SchedPolicy::Fcfs,
-            model: ModelSelection::Adaptive(vec![
-                ModelKind::Threads,
-                ModelKind::Processes,
-                ModelKind::Events,
-            ]),
+            model: ModelSelection::Adaptive(vec![ModelKind::Threads, ModelKind::Events]),
             chunk_size: 64 * 1024,
-            process_launcher: Arc::new(EmulatedProcessLauncher::default()),
+            process_launcher: Arc::new(()),
             obs: None,
             shards: 8,
         }
@@ -93,7 +89,7 @@ impl Default for TransferConfig {
 /// Metric names:
 /// - `transfer.bytes_total`, `transfer.completed`, `transfer.failures`,
 ///   `transfer.model.switches` — counters
-/// - `transfer.model.{events,threads,processes}` — finished flows
+/// - `transfer.model.{events,threads}` — finished flows
 ///   (successes and failures) per concurrency model: the mix the adaptive
 ///   selector produced
 /// - `transfer.retries`, `transfer.aborted`, `transfer.deadline_exceeded`,
@@ -101,7 +97,7 @@ impl Default for TransferConfig {
 ///   sink-abort cleanups, deadline expiries, cancellations)
 /// - `transfer.bandwidth_bps` — EWMA meter of delivered bytes/sec
 /// - `transfer.queue_depth` — gauge of in-flight flows (event + retry-wait
-///   + external)
+///   + thread model)
 /// - `transfer.sched.pass_us`, `transfer.latency_us` — histograms
 /// - `transfer.engine.wakeups` / `transfer.engine.parks` — engine-loop
 ///   iterations and blocking parks; a blocked engine should show few
@@ -126,7 +122,7 @@ struct EngineMetrics {
     cancelled: Arc<Counter>,
     model_switches: Arc<Counter>,
     /// Finished flows per model, indexed by [`model_slot`].
-    per_model: [Arc<Counter>; 3],
+    per_model: [Arc<Counter>; 2],
     bandwidth: Arc<EwmaMeter>,
     queue_depth: Arc<Gauge>,
     sched_pass_us: Arc<Histogram>,
@@ -155,7 +151,6 @@ impl EngineMetrics {
             per_model: [
                 m.counter("transfer.model.events"),
                 m.counter("transfer.model.threads"),
-                m.counter("transfer.model.processes"),
             ],
             bandwidth: m.meter("transfer.bandwidth_bps"),
             queue_depth: m.gauge("transfer.queue_depth"),
@@ -192,7 +187,6 @@ fn model_slot(model: ModelKind) -> usize {
     match model {
         ModelKind::Events => 0,
         ModelKind::Threads => 1,
-        ModelKind::Processes => 2,
     }
 }
 
@@ -273,8 +267,8 @@ impl TransferHandle {
         self.rx.try_recv().ok()
     }
 
-    /// Requests cooperative cancellation. The engine (or the external
-    /// executor) notices at the next chunk boundary, aborts the sink
+    /// Requests cooperative cancellation. The engine (or the thread-model
+    /// worker) notices at the next chunk boundary, aborts the sink
     /// (cleaning up partial output), and completes the flow with an
     /// `Interrupted` error — so a subsequent [`TransferHandle::wait`]
     /// returns promptly.
@@ -289,7 +283,7 @@ enum EngineMsg {
         flow: Box<Flow>,
         respond: Sender<io::Result<u64>>,
     },
-    /// An external-model (thread/process) flow finished. Routed through
+    /// A thread-model flow finished. Routed through
     /// the same channel as submissions so the engine has exactly one wait
     /// point — `recv_timeout` on this channel — and any completion wakes
     /// a parked engine immediately.
@@ -429,14 +423,13 @@ impl EventFlow {
 
 struct Engine {
     rx: Receiver<EngineMsg>,
-    /// Clone of the manager's sender: external executors route their
+    /// Clone of the manager's sender: thread-model workers route their
     /// completions back through it (see [`EngineMsg::Completed`]), and
     /// holding it keeps the channel connected for the engine's lifetime.
     self_tx: Sender<EngineMsg>,
     scheduler: Box<dyn Scheduler>,
     selector: Option<AdaptiveSelector>,
     fixed_model: Option<ModelKind>,
-    launcher: SharedProcessLauncher,
     event_flows: HashMap<FlowId, EventFlow>,
     /// Event-model flows waiting out a retry backoff; re-admitted to the
     /// scheduler when their instant arrives. Still counted as in-flight.
@@ -485,7 +478,6 @@ impl Engine {
             scheduler,
             selector,
             fixed_model,
-            launcher: config.process_launcher,
             event_flows: HashMap::new(),
             retry_queue: Vec::new(),
             stats,
@@ -497,7 +489,7 @@ impl Engine {
     }
 
     /// In-flight flows across the event engine, the retry wait-room, and
-    /// external models.
+    /// the thread model.
     fn note_queue_depth(&self) {
         if let Some(m) = &self.metrics {
             m.queue_depth.set(
@@ -549,7 +541,7 @@ impl Engine {
     /// timeout computed from the next *known* event — the earliest retry
     /// due-instant or flow deadline — bounded by an escalating backoff
     /// while the scheduler keeps declining. Any message (submission,
-    /// external completion, shutdown) wakes the engine immediately;
+    /// thread-model completion, shutdown) wakes the engine immediately;
     /// between wakeups it consumes no CPU.
     fn run(mut self) {
         // Consecutive scheduling passes that produced no dispatch; drives
@@ -729,19 +721,6 @@ impl Engine {
                         let tx = self.self_tx.clone();
                         self.outstanding_external += 1;
                         launch_thread(
-                            flow,
-                            Box::new(move |c| {
-                                let _ = tx.send(EngineMsg::Completed {
-                                    completion: Box::new(c),
-                                    respond,
-                                });
-                            }),
-                        );
-                    }
-                    ModelKind::Processes => {
-                        let tx = self.self_tx.clone();
-                        self.outstanding_external += 1;
-                        self.launcher.launch(
                             flow,
                             Box::new(move |c| {
                                 let _ = tx.send(EngineMsg::Completed {
@@ -982,7 +961,7 @@ mod tests {
 
     #[test]
     fn single_transfer_each_model() {
-        for model in [ModelKind::Events, ModelKind::Threads, ModelKind::Processes] {
+        for model in [ModelKind::Events, ModelKind::Threads] {
             let tm = TransferManager::new(config_fixed(model));
             let handles = submit_n(&tm, 1, "chirp", 100_000);
             for h in handles {
@@ -1046,7 +1025,7 @@ mod tests {
         assert!(snap.count("transfer.model.switches") >= 1);
         // The per-model completion counters publish the assignment mix.
         let stats = tm.stats();
-        for model in [ModelKind::Events, ModelKind::Threads, ModelKind::Processes] {
+        for model in [ModelKind::Events, ModelKind::Threads] {
             assert_eq!(
                 snap.count(&format!("transfer.model.{model}")),
                 stats.per_model.get(&model).copied().unwrap_or(0),
@@ -1169,7 +1148,6 @@ mod tests {
 
     // -- failure domain ----------------------------------------------------
 
-    use crate::concurrency::ProcessLauncher;
     use crate::fault::{FaultBudget, FaultingSource, RetryPolicy};
 
     /// An endless source that trickles bytes slowly (for cancel/deadline
@@ -1211,7 +1189,7 @@ mod tests {
 
     #[test]
     fn transient_fault_retried_to_success_on_each_model() {
-        for model in [ModelKind::Events, ModelKind::Threads, ModelKind::Processes] {
+        for model in [ModelKind::Events, ModelKind::Threads] {
             let tm = TransferManager::new(config_fixed(model));
             let meta = FlowMeta::new(tm.next_flow_id(), "chirp", Some(100_000))
                 .with_retry(RetryPolicy::standard().with_seed(9));
@@ -1253,7 +1231,7 @@ mod tests {
 
     #[test]
     fn cancel_interrupts_flow_on_each_model() {
-        for model in [ModelKind::Events, ModelKind::Threads, ModelKind::Processes] {
+        for model in [ModelKind::Events, ModelKind::Threads] {
             let tm = TransferManager::new(config_fixed(model));
             let meta = FlowMeta::new(tm.next_flow_id(), "chirp", None);
             let h = tm.submit(meta, Box::new(Trickle), Box::new(CountingSink::default()));
@@ -1309,43 +1287,33 @@ mod tests {
         tm.shutdown();
     }
 
-    /// A process launcher whose every dispatch fails immediately — the
-    /// "permanently-failing external model" from the adaptive-selection
-    /// regression.
-    struct FailingLauncher;
-    impl ProcessLauncher for FailingLauncher {
-        fn launch(&self, mut flow: Flow, on_done: Box<dyn FnOnce(Completion) + Send>) {
-            flow.abort();
-            on_done(Completion {
-                meta: flow.meta.clone(),
-                bytes: 0,
-                elapsed: Duration::from_millis(1),
-                model: ModelKind::Processes,
-                result: Err(io::Error::new(io::ErrorKind::NotFound, "worker pool dead")),
-                retries: 0,
-                aborted: true,
-                failure: Some(FailureKind::Io),
-                zc_engaged: false,
-                zc_fell_back: false,
-            });
+    /// A source that fails permanently on the thread model's worker pool
+    /// and streams normally on the event engine — the
+    /// "permanently-failing model" from the adaptive-selection regression.
+    struct FailsOnWorkerThread(PatternSource);
+    impl DataSource for FailsOnWorkerThread {
+        fn read_chunk(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if std::thread::current().name() == Some("nest-transfer-worker") {
+                return Err(io::Error::new(io::ErrorKind::NotFound, "worker pool dead"));
+            }
+            self.0.read_chunk(buf)
         }
     }
 
     #[test]
-    fn failing_process_model_stops_attracting_traffic() {
+    fn failing_model_stops_attracting_traffic() {
         // Regression: only successes were reported to the selector, so a
         // model that always failed kept its optimistic INFINITY standing
         // and was chosen forever.
         let tm = TransferManager::new(TransferConfig {
-            model: ModelSelection::Adaptive(vec![ModelKind::Threads, ModelKind::Processes]),
-            process_launcher: Arc::new(FailingLauncher),
+            model: ModelSelection::Adaptive(vec![ModelKind::Threads, ModelKind::Events]),
             ..TransferConfig::default()
         });
         for _ in 0..64 {
             let meta = FlowMeta::new(tm.next_flow_id(), "chirp", Some(32 * 1024));
             let h = tm.submit(
                 meta,
-                Box::new(PatternSource::new(32 * 1024)),
+                Box::new(FailsOnWorkerThread(PatternSource::new(32 * 1024))),
                 Box::new(CountingSink::default()),
             );
             // Sequential waits: the selector sees each outcome before the
@@ -1353,17 +1321,17 @@ mod tests {
             let _ = h.wait();
         }
         let stats = tm.stats();
-        let procs = stats
+        let threads = stats
             .per_model
-            .get(&ModelKind::Processes)
+            .get(&ModelKind::Threads)
             .copied()
             .unwrap_or(0);
         assert!(
-            procs <= 32,
-            "broken process model still received {} of 64 assignments",
-            procs
+            threads <= 32,
+            "broken thread model still received {} of 64 assignments",
+            threads
         );
-        assert_eq!(stats.failures, procs);
+        assert_eq!(stats.failures, threads);
         tm.shutdown();
     }
 }

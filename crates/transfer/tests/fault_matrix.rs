@@ -11,7 +11,7 @@ use nest_transfer::ModelKind;
 use std::io;
 use std::sync::Arc;
 
-const MODELS: [ModelKind; 3] = [ModelKind::Events, ModelKind::Threads, ModelKind::Processes];
+const MODELS: [ModelKind; 2] = [ModelKind::Events, ModelKind::Threads];
 
 /// Transient and permanent kinds, exercising both classifier branches.
 const KINDS: [io::ErrorKind; 5] = [

@@ -36,12 +36,7 @@ fn fault_stress_invariants_hold() {
     let models = [
         ModelSelection::Fixed(ModelKind::Events),
         ModelSelection::Fixed(ModelKind::Threads),
-        ModelSelection::Fixed(ModelKind::Processes),
-        ModelSelection::Adaptive(vec![
-            ModelKind::Events,
-            ModelKind::Threads,
-            ModelKind::Processes,
-        ]),
+        ModelSelection::Adaptive(vec![ModelKind::Events, ModelKind::Threads]),
     ];
     for policy in policies() {
         for model in &models {

@@ -17,11 +17,7 @@ fn main() {
     // where the assignments went.
     let tm = TransferManager::new(TransferConfig {
         policy: SchedPolicy::Fcfs,
-        model: ModelSelection::Adaptive(vec![
-            ModelKind::Events,
-            ModelKind::Threads,
-            ModelKind::Processes,
-        ]),
+        model: ModelSelection::Adaptive(vec![ModelKind::Events, ModelKind::Threads]),
         ..TransferConfig::default()
     });
     println!("submitting 60 transfers (256 KB each) under adaptive selection...");
