@@ -157,7 +157,6 @@ impl Dispatcher {
         let transfers = TransferManager::new(TransferConfig {
             policy: config.sched.clone(),
             model: config.model.clone(),
-            chunk_size: 64 * 1024,
             obs: Some(Arc::clone(&obs)),
             ..TransferConfig::default()
         });
@@ -1147,6 +1146,16 @@ mod tests {
 
     fn alice() -> Principal {
         Principal::user("alice")
+    }
+
+    #[test]
+    fn tier_object_cap_is_one_transfer_chunk() {
+        // A tier hit must leave in one chunk; changing either constant
+        // alone breaks that.
+        assert_eq!(
+            nest_storage::mem_tier::MAX_OBJECT_BYTES as usize,
+            TransferConfig::default().chunk_size
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::dispatcher::{Dispatcher, LimitedStreamSource};
 use crate::session::{Await, SessionCtx};
 use nest_proto::http::{
-    render_response_head, status_for_error, HttpMethod, HttpRequestHead, HttpResponseHead,
+    render_response_head, status_for_error, HttpMethod, HttpRequestHead, HttpResponseHead, CONTINUE,
 };
 use nest_proto::request::{NestError, NestRequest, NestResponse};
 use nest_storage::Principal;
@@ -104,12 +104,21 @@ pub fn handle_conn(
                     continue;
                 };
                 match dispatcher.admit_put(&who, PROTOCOL, &head.path, Some(length)) {
+                    Err(e) if head.expects_continue() => {
+                        // The client holds its body back for a `100`
+                        // that will not come: refuse and close.
+                        send_error(&mut stream, e)?;
+                        return Ok(());
+                    }
                     Err(e) => {
                         // Must drain the body to keep the connection in sync.
                         drain(&mut stream, length)?;
                         send_error(&mut stream, e)?;
                     }
                     Ok(vpath) => {
+                        if head.expects_continue() {
+                            stream.write_all(CONTINUE)?;
+                        }
                         let source =
                             Box::new(LimitedStreamSource::new(stream.try_clone()?, length));
                         match dispatcher.transfer_put(&who, PROTOCOL, &vpath, source, Some(length))

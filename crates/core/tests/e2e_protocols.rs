@@ -8,10 +8,13 @@ use nest_proto::chirp::ChirpClient;
 use nest_proto::ftp::FtpClient;
 use nest_proto::gridftp::GridFtpClient;
 use nest_proto::gsi::{GridMap, SimCa};
-use nest_proto::http::HttpClient;
+use nest_proto::http::{HttpClient, HttpResponseHead};
 use nest_proto::nfs::{MountClient, NfsClient};
 use nest_transfer::manager::ModelSelection;
 use nest_transfer::ModelKind;
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::time::Duration;
 
 fn test_ca() -> SimCa {
     SimCa::new("NeST-Test-CA", 0x5EED)
@@ -824,5 +827,48 @@ fn gridftp_mode_e_edge_cases() {
     );
     assert_eq!(client.get_bytes("/medium.bin").unwrap(), medium);
     client.quit().unwrap();
+    server.shutdown();
+}
+
+/// Sends a PUT head with `Expect: 100-continue` and no body byte; the
+/// server has one second to answer.
+fn put_expecting_continue(addr: std::net::SocketAddr, path: &str, len: usize) -> TcpStream {
+    let mut conn = TcpStream::connect(addr).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+    let head = format!(
+        "PUT {path} HTTP/1.1\r\nHost: nest\r\nContent-Length: {len}\r\nExpect: 100-continue\r\n\r\n"
+    );
+    conn.write_all(head.as_bytes()).unwrap();
+    conn
+}
+
+#[test]
+fn http_put_answers_expect_continue() {
+    let server = start_server("http-expect");
+    server
+        .grant_default_lot("anonymous", 1 << 20, 3600)
+        .unwrap();
+    let addr = server.http_addr.unwrap();
+    let body: Vec<u8> = (0..300_000u32).map(|i| (i % 241) as u8).collect();
+    let mut conn = put_expecting_continue(addr, "/expect.bin", body.len());
+    // The interim reply comes before any body byte is sent.
+    assert_eq!(HttpResponseHead::read(&mut conn).unwrap().status, 100);
+    conn.write_all(&body).unwrap();
+    assert_eq!(HttpResponseHead::read(&mut conn).unwrap().status, 201);
+    let mut client = HttpClient::connect(addr).unwrap();
+    assert_eq!(client.get_bytes("/expect.bin").unwrap(), body);
+    server.shutdown();
+}
+
+#[test]
+fn http_refused_put_with_expect_answers_without_the_body() {
+    // No lot for anonymous: the PUT is refused at admission, and the
+    // client that holds its body back gets the refusal, then EOF.
+    let server = start_server("http-expect-refused");
+    let mut conn = put_expecting_continue(server.http_addr.unwrap(), "/f", 4096);
+    assert_eq!(HttpResponseHead::read(&mut conn).unwrap().status, 507);
+    let mut rest = Vec::new();
+    conn.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "{rest:?}");
     server.shutdown();
 }

@@ -37,6 +37,10 @@ impl HttpMethod {
     }
 }
 
+/// The interim reply that releases a body held back behind
+/// `Expect: 100-continue`.
+pub const CONTINUE: &[u8] = b"HTTP/1.1 100 Continue\r\n\r\n";
+
 /// A parsed request head.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HttpRequestHead {
@@ -65,6 +69,14 @@ impl HttpRequestHead {
     /// The Content-Length header, if present and numeric.
     pub fn content_length(&self) -> Option<u64> {
         self.headers.get("content-length")?.trim().parse().ok()
+    }
+
+    /// Whether the client holds its body back until the server answers
+    /// [`CONTINUE`] (`Expect: 100-continue`, RFC 7231 §5.1.1).
+    pub fn expects_continue(&self) -> bool {
+        self.headers
+            .get("expect")
+            .is_some_and(|v| v.eq_ignore_ascii_case("100-continue"))
     }
 
     /// Reads and parses a request head from a stream. `Ok(None)` on clean
@@ -281,6 +293,12 @@ mod tests {
             .unwrap();
         assert_eq!(head.method, HttpMethod::Put);
         assert_eq!(head.content_length(), Some(12));
+        assert!(!head.expects_continue());
+        let raw = b"PUT /f HTTP/1.1\r\nContent-Length: 12\r\nExpect: 100-Continue\r\n\r\n".to_vec();
+        let head = HttpRequestHead::read(&mut Cursor::new(raw))
+            .unwrap()
+            .unwrap();
+        assert!(head.expects_continue());
     }
 
     #[test]

@@ -11,5 +11,5 @@ mod codec;
 
 pub use client::HttpClient;
 pub use codec::{
-    render_response_head, status_for_error, HttpMethod, HttpRequestHead, HttpResponseHead,
+    render_response_head, status_for_error, HttpMethod, HttpRequestHead, HttpResponseHead, CONTINUE,
 };

@@ -33,7 +33,9 @@
 use nest_core::dispatcher::{Dispatcher, LimitedStreamSource};
 use nest_core::front::ProtocolFront;
 use nest_core::session::{Await, OverloadReply, SessionCtx};
-use nest_proto::http::{render_response_head, HttpMethod, HttpRequestHead, HttpResponseHead};
+use nest_proto::http::{
+    render_response_head, HttpMethod, HttpRequestHead, HttpResponseHead, CONTINUE,
+};
 use nest_proto::request::{ports, NestError, NestRequest, NestResponse};
 use nest_proto::s3::{
     error_for, parse_auth_header, render_error_xml, render_list_all_buckets,
@@ -41,7 +43,7 @@ use nest_proto::s3::{
 };
 use nest_storage::Principal;
 use std::io::{self, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 
 const PROTOCOL: &str = "s3";
@@ -154,11 +156,7 @@ fn handle_conn(
             {
                 Some(p) => p,
                 None => {
-                    // Drain any PUT body so the connection stays in sync.
-                    if let Some(len) = head.content_length() {
-                        drain(&mut stream, len)?;
-                    }
-                    send_error(&mut stream, NestError::Denied, &head.path, false)?;
+                    refuse(&mut stream, &head, NestError::Denied, &head.path, false)?;
                     stream.flush()?;
                     continue;
                 }
@@ -492,13 +490,12 @@ fn put_object(
             path: format!("/{bucket}"),
         },
     ) {
-        drain(stream, length)?;
         let e = if e == NestError::NotFound || e == NestError::Invalid {
             NestError::NotFound
         } else {
             e
         };
-        return send_error(stream, e, &format!("/{bucket}"), true);
+        return refuse(stream, head, e, &format!("/{bucket}"), true);
     }
     // S3 keys may contain '/' with no explicit Mkdir; materialize the
     // intermediate directories, ignoring ones that already exist.
@@ -510,22 +507,16 @@ fn put_object(
         dir.push_str(seg);
         match dispatcher.execute_sync(who, PROTOCOL, &NestRequest::Mkdir { path: dir.clone() }) {
             NestResponse::Ok | NestResponse::Error(NestError::Exists) => {}
-            NestResponse::Error(e) => {
-                drain(stream, length)?;
-                return send_error(stream, e, &head.path, false);
-            }
-            _ => {
-                drain(stream, length)?;
-                return send_error(stream, NestError::Internal, &head.path, false);
-            }
+            NestResponse::Error(e) => return refuse(stream, head, e, &head.path, false),
+            _ => return refuse(stream, head, NestError::Internal, &head.path, false),
         }
     }
     match dispatcher.admit_put(who, PROTOCOL, &head.path, Some(length)) {
-        Err(e) => {
-            drain(stream, length)?;
-            send_error(stream, e, &head.path, false)
-        }
+        Err(e) => refuse(stream, head, e, &head.path, false),
         Ok(vpath) => {
+            if head.expects_continue() {
+                stream.write_all(CONTINUE)?;
+            }
             let source = Box::new(LimitedStreamSource::new(stream.try_clone()?, length));
             match dispatcher.transfer_put(who, PROTOCOL, &vpath, source, Some(length)) {
                 Ok(_) => stream.write_all(&render_reply(200, "OK", "")),
@@ -540,8 +531,25 @@ fn put_object(
     }
 }
 
-fn drain(stream: &mut TcpStream, length: u64) -> io::Result<()> {
-    nest_proto::wire::copy_exact(stream, &mut io::sink(), length, 64 * 1024)
+/// Refuses a request before reading its body. A client that sent
+/// `Expect: 100-continue` holds the body back, so the reply goes out and
+/// the connection shuts down (the next read sees EOF); any other client's
+/// body is drained first to keep the connection in sync.
+fn refuse(
+    stream: &mut TcpStream,
+    head: &HttpRequestHead,
+    e: NestError,
+    resource: &str,
+    is_bucket_op: bool,
+) -> io::Result<()> {
+    if head.expects_continue() {
+        send_error(stream, e, resource, is_bucket_op)?;
+        return stream.shutdown(Shutdown::Both);
+    }
+    if let Some(length) = head.content_length() {
+        nest_proto::wire::copy_exact(stream, &mut io::sink(), length, 64 * 1024)?;
+    }
+    send_error(stream, e, resource, is_bucket_op)
 }
 
 #[cfg(test)]

@@ -393,7 +393,10 @@ impl StorageManager {
 
     /// Promotes the `size`-byte object at `path` into the memory tier
     /// under `ticket`. Best-effort — a read failure, or an object that is
-    /// no longer exactly `size` bytes, simply leaves it untiered.
+    /// no longer exactly `size` bytes, simply leaves it untiered. The
+    /// tier issues tickets only up to its per-object cap (at most
+    /// [`crate::mem_tier::MAX_OBJECT_BYTES`]), so the copy made here is at
+    /// most one transfer chunk.
     fn promote(&self, path: &VPath, size: u64, ticket: PromotionTicket) {
         // One byte of headroom proves EOF: an object that grew after its
         // stat must not be cached truncated.

@@ -1,12 +1,17 @@
-//! The actuating memory tier: a bounded, lot-aware RAM cache of whole
-//! objects under the storage manager.
+//! The actuating memory tier: a bounded, lot-aware RAM cache of small
+//! whole objects under the storage manager.
 //!
 //! The paper's gray-box cache model only *predicts* OS cache residency to
-//! inform scheduling. This module closes the loop: NeST manages its own
-//! user-level memory tier (a small HSM in the spirit of CASTOR's disk
-//! front / tape back, here RAM front / disk back) so that a hot working
-//! set keeps serving at memory speed even while cold scan traffic churns
-//! the OS page cache underneath it.
+//! inform scheduling. This module closes the loop for the objects where a
+//! user-level copy pays: those one transfer chunk serves. A resident copy
+//! saves a GET its per-request backend work (the descriptor lookup and
+//! the read) and goes out in one `writev` with its reply header. A larger
+//! object gains nothing from it: `sendfile` already moves its bytes out of
+//! the page cache with one copy, while a promotion would add a second
+//! copy and an allocation as big as the object, hold the bytes in RAM
+//! twice, and give up `sendfile` on every hit. So larger objects always
+//! stream from the backend, and the backend's page cache is their memory
+//! tier.
 //!
 //! Design points:
 //!
@@ -22,11 +27,12 @@
 //!   lot are demoted only under *global* pressure — when the guaranteed
 //!   working set alone no longer fits the budget. Best-effort traffic can
 //!   never push a guaranteed resident out.
-//! * **Whole objects, never the only copy.** Objects up to the per-object
-//!   cap (`budget / 4`) cache whole; larger ones are never admitted. Every
-//!   resident is a copy of bytes already on the backend: writes go to the
-//!   backend and then invalidate the copy, so a crash loses cache, never
-//!   data.
+//! * **Small whole objects, never the only copy.** Objects up to the
+//!   per-object cap, `min(budget / 4, MAX_OBJECT_BYTES)`, cache whole;
+//!   larger ones are never admitted, whatever the residency hint says.
+//!   Every resident is a copy of bytes already on the backend: writes go
+//!   to the backend and then invalidate the copy, so a crash loses cache,
+//!   never data.
 //! * **Promotion tickets.** A promotion reads the backend with no tier
 //!   lock held. [`MemTier::record_access`] leaves a ticket in the path's
 //!   access entry, [`MemTier::invalidate`] removes that entry, and
@@ -58,6 +64,12 @@ pub const PROMOTE_HITS: u32 = 2;
 
 /// The access-counting window (seconds of the storage clock).
 pub const PROMOTE_WINDOW_SECS: u64 = 300;
+
+/// The largest object the tier admits, whatever its budget: one transfer
+/// chunk (the transfer manager's default `chunk_size`), so a tier hit
+/// leaves in a single `writev` with its reply header. Anything larger
+/// streams from the page cache by `sendfile`; see the module docs.
+pub const MAX_OBJECT_BYTES: u64 = 64 << 10;
 
 /// A point-in-time copy of the tier's counters, for tests and ads.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -132,7 +144,7 @@ struct Instruments {
 /// path — the ablation baseline does no bookkeeping at all.
 pub struct MemTier {
     budget: u64,
-    /// Largest object admitted (whole): budget / 4.
+    /// Largest object admitted (whole): `min(budget / 4, MAX_OBJECT_BYTES)`.
     max_object_bytes: u64,
     state: Mutex<TierState>,
     /// Written once by [`MemTier::register_obs`], then read lock-free on
@@ -153,7 +165,7 @@ impl MemTier {
     pub fn new(budget: u64) -> Self {
         Self {
             budget,
-            max_object_bytes: (budget / 4).max(1),
+            max_object_bytes: (budget / 4).clamp(1, MAX_OBJECT_BYTES),
             state: Mutex::named(
                 "storage.memtier",
                 335,
@@ -237,7 +249,9 @@ impl MemTier {
     /// bytes) and [`MemTier::insert`] it: on the [`PROMOTE_HITS`]-th
     /// access inside the window, or immediately when `resident_hint` says
     /// the cache model already predicts the object hot. Objects larger
-    /// than `budget / 4` are never promoted.
+    /// than the per-object cap, `min(budget / 4, MAX_OBJECT_BYTES)`, are
+    /// never promoted: the cap is checked before the hint is consulted,
+    /// so a hot big object still streams from the backend.
     pub fn record_access(
         &self,
         path: &VPath,
@@ -307,9 +321,9 @@ impl MemTier {
     /// `guaranteed` classifies the entry for demotion. The insert is
     /// dropped when the ticket is stale (the path was invalidated since
     /// it was issued, so `data` may predate a write), when the object
-    /// exceeds `budget / 4`, or when room cannot be made without
-    /// violating the lot rule: best-effort entries never demote
-    /// guaranteed residents.
+    /// exceeds the per-object cap (whatever the ticket says), or when
+    /// room cannot be made without violating the lot rule: best-effort
+    /// entries never demote guaranteed residents.
     pub fn insert(&self, path: &VPath, data: Vec<u8>, guaranteed: bool, ticket: PromotionTicket) {
         if !self.enabled() || data.len() as u64 > self.max_object_bytes {
             return;
@@ -595,6 +609,29 @@ mod tests {
         t.insert(&vp("/huge"), obj(200, 1), true, ticket);
         assert!(t.object(&vp("/huge")).is_none());
         assert_eq!(t.stats().bytes, 25);
+    }
+
+    #[test]
+    fn objects_over_one_chunk_are_refused_on_any_budget() {
+        let t = MemTier::new(64 << 20);
+        // The cap holds before the residency hint is consulted.
+        assert!(t
+            .record_access(&vp("/big"), MAX_OBJECT_BYTES + 1, true, 0)
+            .is_none());
+        let ticket = t
+            .record_access(&vp("/chunk"), MAX_OBJECT_BYTES, true, 0)
+            .expect("exactly one chunk is admitted");
+        // The insert enforces the cap too, whatever the ticket said.
+        t.insert(
+            &vp("/chunk"),
+            obj(MAX_OBJECT_BYTES as usize + 1, 1),
+            true,
+            ticket,
+        );
+        assert!(t.object(&vp("/chunk")).is_none());
+        assert_eq!(t.stats().bytes, 0);
+        promote(&t, "/max", obj(MAX_OBJECT_BYTES as usize, 2), false);
+        assert_eq!(t.stats().bytes, MAX_OBJECT_BYTES);
     }
 
     #[test]

@@ -9,13 +9,16 @@ use nest::core::config::NestConfig;
 use nest::core::server::NestServer;
 use nest::obs::Obs;
 use nest::proto::gsi::{GridMap, SimCa};
-use nest::proto::http::HttpMethod;
-use nest::proto::s3::S3Client;
+use nest::proto::http::{HttpMethod, HttpResponseHead};
+use nest::proto::s3::{format_auth_header, S3Client};
 use nest::s3front::S3Front;
 use nest::storage::lot::LotId;
 use nest::storage::Principal;
 use std::collections::BTreeMap;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::Duration;
 
 const SUBJECT: &str = "/O=Grid/OU=wisc.edu/CN=Alice Researcher";
 
@@ -288,5 +291,47 @@ fn error_dialect_and_auth_rejection() {
     let err = client.put_object("missing-bucket", "k", b"x").unwrap_err();
     assert!(err.to_string().contains("404"), "got {err}");
 
+    server.shutdown();
+}
+
+/// Sends a signed PUT head with `Expect: 100-continue` and no body byte;
+/// the front has one second to answer.
+fn put_expecting_continue(server: &NestServer, ca: &SimCa, path: &str, len: u64) -> TcpStream {
+    let mut conn = TcpStream::connect(server.front_addr("s3").unwrap()).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+    let head = format!(
+        "PUT {path} HTTP/1.1\r\nHost: nest\r\nAuthorization: {}\r\nContent-Length: {len}\r\nExpect: 100-continue\r\n\r\n",
+        format_auth_header(&ca.issue(SUBJECT))
+    );
+    conn.write_all(head.as_bytes()).unwrap();
+    conn
+}
+
+#[test]
+fn put_answers_expect_continue() {
+    let (server, ca, _lot) = start_server();
+    let mut client = S3Client::connect(server.front_addr("s3").unwrap())
+        .unwrap()
+        .with_credential(ca.issue(SUBJECT));
+    client.create_bucket("b").unwrap();
+
+    let body: Vec<u8> = (0..300_000u32).map(|i| (i % 239) as u8).collect();
+    let mut conn = put_expecting_continue(&server, &ca, "/b/k", body.len() as u64);
+    // The interim reply comes before any body byte is sent.
+    assert_eq!(HttpResponseHead::read(&mut conn).unwrap().status, 100);
+    conn.write_all(&body).unwrap();
+    assert_eq!(HttpResponseHead::read(&mut conn).unwrap().status, 200);
+    assert_eq!(client.get_object("b", "k").unwrap(), body);
+
+    // Refusals, before and at admission (a missing bucket, a body over
+    // the 1 MiB lot), answer without the body and then close.
+    for (path, len, status) in [("/nope/k", 10, 404), ("/b/huge", 2 << 20, 403)] {
+        let mut conn = put_expecting_continue(&server, &ca, path, len);
+        let head = HttpResponseHead::read(&mut conn).unwrap();
+        assert_eq!(head.status, status, "{path}");
+        let mut rest = vec![0u8; head.content_length().unwrap() as usize];
+        conn.read_exact(&mut rest).unwrap();
+        assert_eq!(conn.read(&mut [0u8; 1]).unwrap(), 0, "{path}: not closed");
+    }
     server.shutdown();
 }

@@ -181,7 +181,8 @@ fn memtier_counters_ride_every_surface() {
     // One PUT, three GETs: the repeat accesses promote the object and the
     // last GET is served from RAM (a tier hit). The residency hint may
     // promote on the first GET already, so assert floors, not exact counts.
-    let body: Vec<u8> = (0..200_000u32).map(|i| (i % 251) as u8).collect();
+    // The object fits one transfer chunk, the tier's per-object cap.
+    let body: Vec<u8> = (0..60_000u32).map(|i| (i % 251) as u8).collect();
     let mut http = HttpClient::connect(server.http_addr.unwrap()).unwrap();
     assert_eq!(http.put_bytes("/tiered.bin", &body).unwrap(), 201);
     for _ in 0..3 {
@@ -196,7 +197,7 @@ fn memtier_counters_ride_every_surface() {
 
     assert!(via_http["memtier.hits"] >= 1.0, "no tier hit surfaced");
     assert!(via_http["memtier.misses"] >= 1.0, "no tier miss surfaced");
-    assert_eq!(via_http["memtier.bytes"], 200_000.0);
+    assert_eq!(via_http["memtier.bytes"], 60_000.0);
     assert!(via_http["memtier.promotions"] >= 1.0);
     assert!(
         via_http["memtier.zc_bypassed"] >= 1.0,
@@ -217,7 +218,7 @@ fn memtier_counters_ride_every_surface() {
     // And the matchmaking surface: the storage ad advertises the tier.
     let ad = server.dispatcher().storage_ad(&["http"]);
     match ad.eval("RamTierBytes") {
-        nest::classad::Value::Int(n) => assert_eq!(n, 200_000),
+        nest::classad::Value::Int(n) => assert_eq!(n, 60_000),
         other => panic!("RamTierBytes missing: {:?}", other),
     }
     match ad.eval("RamTierHitPct") {

@@ -7,8 +7,12 @@
 
 #![cfg(unix)]
 
+use nest::core::config::{BackendKind, NestConfig};
 use nest::core::dispatcher::{BackendSource, SocketSink};
-use nest::obs::Obs;
+use nest::core::server::NestServer;
+use nest::obs::{MetricsSnapshot, Obs};
+use nest::proto::chirp::ChirpClient;
+use nest::proto::http::HttpClient;
 use nest::storage::{
     AclTable, LocalFsBackend, ReclaimPolicy, StorageBackend, StorageManager, VPath,
 };
@@ -16,6 +20,7 @@ use nest::transfer::fault::{FaultBudget, FaultingSource, RetryPolicy};
 use nest::transfer::flow::{DataSink, FlowMeta};
 use nest::transfer::manager::{ModelSelection, SchedPolicy, TransferConfig, TransferManager};
 use nest::transfer::ModelKind;
+use std::collections::BTreeMap;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
@@ -294,5 +299,49 @@ fn mid_transfer_withdrawal_falls_back_without_corruption() {
     assert_eq!(snap.count("transfer.failures"), 0);
 
     tm.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A whole-object GET of more than one chunk never enters the RAM tier,
+/// even on a tier 64 times its size: every GET streams from the backend
+/// by `sendfile`, and no tier copy ever gives that path up.
+#[test]
+fn gets_over_one_chunk_stream_by_sendfile_not_the_tier() {
+    let dir = scratch("tier-cap");
+    let obs = Obs::new();
+    let config = NestConfig::builder("tier-cap")
+        .obs(Arc::clone(&obs))
+        .backend(BackendKind::LocalFs(dir.join("root")))
+        .ram_tier_bytes(64 << 20)
+        .build()
+        .unwrap();
+    let server = NestServer::start(config).unwrap();
+    server
+        .grant_default_lot("anonymous", 8 << 20, 3600)
+        .unwrap();
+    let body = pattern(1 << 20);
+    let mut http = HttpClient::connect(server.http_addr.unwrap()).unwrap();
+    assert_eq!(http.put_bytes("/big.bin", &body).unwrap(), 201);
+    let mut chirp = ChirpClient::connect(server.chirp_addr.unwrap()).unwrap();
+
+    let sendfile_flows = || obs.snapshot().count("transfer.zerocopy.sendfile_flows");
+    let before = sendfile_flows();
+    for _ in 0..3 {
+        assert!(http.get_bytes("/big.bin").unwrap() == body, "http GET");
+        assert!(chirp.get_bytes("/big.bin").unwrap() == body, "chirp GET");
+    }
+
+    let text = String::from_utf8(http.get_bytes("/nest/stats").unwrap()).unwrap();
+    let stats: BTreeMap<String, f64> = MetricsSnapshot::parse_text(&text);
+    assert_eq!(stats["memtier.promotions"], 0.0);
+    assert_eq!(stats["memtier.bytes"], 0.0);
+    assert_eq!(stats["memtier.zc_bypassed"], 0.0);
+    assert!(
+        sendfile_flows() >= before + 6,
+        "{} -> {}",
+        before,
+        sendfile_flows()
+    );
+    server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
