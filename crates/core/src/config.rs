@@ -123,12 +123,6 @@ pub struct NestConfig {
     pub ports: Ports,
     /// Size of the modelled kernel buffer cache (gray-box cache model).
     pub cache_bytes: u64,
-    /// Byte budget for the actuating in-memory storage tier: a bounded,
-    /// lot-aware RAM cache under the storage manager that promotes hot
-    /// objects to serve at memory speed. `0` (the default) disables the
-    /// tier entirely — the data path is then byte-identical to an
-    /// appliance built before the tier existed.
-    pub ram_tier_bytes: u64,
     /// Observability registry shared with the appliance. `None` makes the
     /// dispatcher create a private one; pass a registry to read the same
     /// instruments from outside (tests, embedding monitors).
@@ -222,7 +216,6 @@ impl Default for NestConfig {
             gsi: None,
             ports: Ports::default(),
             cache_bytes: 256 << 20,
-            ram_tier_bytes: 0,
             obs: None,
             retry: RetryPolicy::standard(),
             transfer_deadline: None,
@@ -396,10 +389,8 @@ impl NestConfigBuilder {
         self
     }
 
-    /// Byte budget for the in-memory storage tier (`0` disables it; see
-    /// [`NestConfig::ram_tier_bytes`]).
-    pub fn ram_tier_bytes(mut self, bytes: u64) -> Self {
-        self.config.ram_tier_bytes = bytes;
+    /// Ignored; delete in the benchmark-only PR for ROADMAP 1(b0).
+    pub fn ram_tier_bytes(self, _bytes: u64) -> Self {
         self
     }
 
@@ -527,16 +518,12 @@ mod tests {
     }
 
     #[test]
-    fn builder_carries_ram_tier_budget() {
-        let config = NestConfig::builder("tiered")
+    fn builder_accepts_and_ignores_ram_tier_budget() {
+        let config = NestConfig::builder("x")
             .ram_tier_bytes(64 << 20)
             .build()
             .unwrap();
-        assert_eq!(config.ram_tier_bytes, 64 << 20);
-        assert_eq!(
-            NestConfig::builder("flat").build().unwrap().ram_tier_bytes,
-            0
-        );
+        assert_eq!(config.name, "x");
     }
 
     #[test]

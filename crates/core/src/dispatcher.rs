@@ -141,16 +141,7 @@ impl Dispatcher {
         if !config.enforce_lots {
             storage = storage.with_lots_disabled();
         }
-        // The gray-box cache model doubles as the memory tier's promotion
-        // oracle, so it must exist before the storage manager is built.
-        let cache = Arc::new(CacheModel::new(config.cache_bytes));
-        let hint_cache = Arc::clone(&cache);
-        let mut storage = storage
-            .with_ram_tier(config.ram_tier_bytes)
-            .with_residency_hint(Arc::new(move |path: &str, size: u64| {
-                hint_cache.predict_resident(path, size)
-            }))
-            .with_obs(&obs);
+        storage = storage.with_obs(&obs);
         if let Some(path) = &lot_store {
             storage = storage.with_lot_store(path)?;
         }
@@ -164,13 +155,6 @@ impl Dispatcher {
         // Pre-register the writev-coalescing counter so it shows up (at
         // zero) on every stats surface even before the first GET.
         obs.metrics.counter("transfer.zerocopy.writev_coalesced");
-        if config.ram_tier_bytes > 0 {
-            // Tier-resident GETs have no backing fd, so zerocopy demotes
-            // cleanly; pre-register the bypass counter so the surfaces
-            // show it at zero before the first tier-served flow. (With
-            // the tier disabled nothing memtier.* is registered at all.)
-            obs.metrics.counter("memtier.zc_bypassed");
-        }
         // Surface the lock shim's per-class contention statistics
         // (lock.<class>.{acquires,contended,wait_us,hold_us}) on every
         // stats surface this registry feeds.
@@ -179,7 +163,7 @@ impl Dispatcher {
             name: config.name.clone(),
             storage: Arc::new(storage),
             transfers,
-            cache,
+            cache: Arc::new(CacheModel::new(config.cache_bytes)),
             gsi: config.gsi.clone(),
             service_cred: None,
             sched_class: config.sched_class,
@@ -459,24 +443,12 @@ impl Dispatcher {
             Some(size),
         ));
         meta.predicted_cached = cached;
-        // Tier-resident objects serve straight from the manager's RAM
-        // copy: no open(2), no disk read, and — because a MemSource has no
-        // backing fd — the zerocopy ladder demotes cleanly to the pooled
-        // loop. That demotion is the intended path, not a fallback; count
-        // it separately so `transfer.zerocopy.fallbacks` keeps meaning
-        // "something was withdrawn mid-flow".
-        let source: Box<dyn DataSource> = match self.storage.tier_object(vpath) {
-            Some(obj) if obj.len() as u64 == size => {
-                self.obs.metrics.counter("memtier.zc_bypassed").inc();
-                Box::new(nest_transfer::flow::MemSource::new(obj))
-            }
-            _ => Box::new(BackendSource::new(
-                Arc::clone(&self.storage),
-                vpath.clone(),
-                0,
-                size,
-            )),
-        };
+        let source = Box::new(BackendSource::new(
+            Arc::clone(&self.storage),
+            vpath.clone(),
+            0,
+            size,
+        ));
         let handle = self.transfers.submit(meta, source, sink);
         let moved = handle.wait()?;
         self.cache.observe_access(&vpath.to_string(), size);
@@ -535,9 +507,7 @@ impl Dispatcher {
     }
 
     /// NFS block read: a single block request is itself a scheduled flow,
-    /// which is how cross-protocol policies see NFS traffic. Admitted by
-    /// `begin_read`, so it never counts a memory-tier access or promotes:
-    /// the backend serves the block.
+    /// which is how cross-protocol policies see NFS traffic.
     pub fn read_block(
         &self,
         who: &Principal,
@@ -548,7 +518,7 @@ impl Dispatcher {
     ) -> Result<Vec<u8>, NestError> {
         // Access check (cheap; also feeds lot LRU).
         self.storage
-            .begin_read(who, protocol, vpath)
+            .begin_get(who, protocol, vpath)
             .map_err(|e| NestError::from(&e))?;
         let meta = self.stamp_failure_policy(FlowMeta::new(
             self.transfers.next_flow_id(),
@@ -710,19 +680,6 @@ impl Dispatcher {
                     .get() as i64,
             ),
         );
-        // Memory-tier health, published only when the tier is on so an
-        // ablated appliance's ad is indistinguishable from a pre-tier one.
-        if self.storage.mem_tier().enabled() {
-            let tier = self.storage.tier_stats();
-            ad.insert_value("RamTierBytes", nest_classad::Value::Int(tier.bytes as i64));
-            let lookups = tier.hits + tier.misses;
-            let hit_pct = if lookups > 0 {
-                tier.hits as f64 * 100.0 / lookups as f64
-            } else {
-                0.0
-            };
-            ad.insert_value("RamTierHitPct", nest_classad::Value::Real(hit_pct));
-        }
         // Connection load, so the matchmaker can rank by headroom: the
         // session layer's admitted-connection gauge against its cap.
         ad.insert_value(
@@ -953,8 +910,7 @@ impl DataSink for BackendSink {
     fn reset(&mut self) -> io::Result<()> {
         if self.whole_file {
             // Drop any partial content so a shorter replay cannot leave a
-            // stale tail behind. Routed through the storage manager so the
-            // memory tier's copy is invalidated along with the bytes.
+            // stale tail behind.
             self.storage
                 .truncate_for_retry(&self.path)
                 .map_err(|e| io::Error::other(e.to_string()))?;
@@ -1149,16 +1105,6 @@ mod tests {
     }
 
     #[test]
-    fn tier_object_cap_is_one_transfer_chunk() {
-        // A tier hit must leave in one chunk; changing either constant
-        // alone breaks that.
-        assert_eq!(
-            nest_storage::mem_tier::MAX_OBJECT_BYTES as usize,
-            TransferConfig::default().chunk_size
-        );
-    }
-
-    #[test]
     fn sync_requests_roundtrip() {
         let d = dispatcher();
         let who = alice();
@@ -1311,70 +1257,6 @@ mod tests {
         assert_eq!(block, vec![7u8; 8192]);
         let tail = d.read_block(&who, "nfs", &vpath, 8192, 8192).unwrap();
         assert_eq!(tail, vec![8u8; 100]);
-        d.shutdown();
-    }
-
-    /// NFS block reads never reach the memory tier: however often the
-    /// blocks are read and rewritten, no access is counted and nothing
-    /// promotes, even with the cache model predicting the object hot.
-    /// Whole-object GETs still promote, and then hit.
-    #[test]
-    fn block_reads_bypass_the_tier_and_gets_still_promote() {
-        let config = NestConfig::builder("test")
-            .ram_tier_bytes(1 << 20)
-            .build()
-            .unwrap();
-        let d = Dispatcher::new(&config).unwrap();
-        let who = alice();
-        d.execute_sync(
-            &who,
-            "chirp",
-            &NestRequest::LotCreate {
-                capacity: 1 << 20,
-                duration: 3600,
-            },
-        );
-        const BLOCK: usize = 8192;
-        let mut current = vec![1u8; 8 * BLOCK];
-        let size = current.len() as u64;
-        let vpath = d.admit_put(&who, "chirp", "/obj", Some(size)).unwrap();
-        d.transfer_put(
-            &who,
-            "chirp",
-            &vpath,
-            Box::new(io::Cursor::new(current.clone())),
-            Some(size),
-        )
-        .unwrap();
-        for round in 0..16u8 {
-            for (i, want) in current.chunks(BLOCK).enumerate() {
-                let got = d
-                    .read_block(&who, "nfs", &vpath, (i * BLOCK) as u64, BLOCK)
-                    .unwrap();
-                assert_eq!(got, want, "round {round}, block {i}");
-            }
-            let off = usize::from(round) % 8 * BLOCK;
-            let block = vec![round + 2; BLOCK];
-            d.write_block(&who, "nfs", &vpath, off as u64, block.clone())
-                .unwrap();
-            current[off..off + BLOCK].copy_from_slice(&block);
-        }
-        let s = d.storage().tier_stats();
-        assert_eq!((s.misses, s.promotions), (0, 0), "{s:?}");
-
-        let get = || {
-            let (vpath, size, cached) = d.admit_get(&who, "chirp", "/obj").unwrap();
-            let (sink, rx) = ChannelSink::new();
-            d.transfer_get(&who, "chirp", &vpath, size, cached, Box::new(sink))
-                .unwrap();
-            rx.recv().unwrap()
-        };
-        assert_eq!(get(), current);
-        assert_eq!(get(), current);
-        assert_eq!(d.storage().tier_stats().promotions, 1);
-        let hits = d.storage().tier_stats().hits;
-        assert_eq!(get(), current);
-        assert_eq!(d.storage().tier_stats().hits, hits + 1);
         d.shutdown();
     }
 

@@ -47,6 +47,15 @@ struct DepotState {
     caps: HashMap<String, (u64, CapKind)>,
 }
 
+impl DepotState {
+    fn resolve(&self, cap: &Capability, want: CapKind) -> Result<u64, i32> {
+        match self.caps.get(&cap.0) {
+            Some((id, kind)) if *kind == want => Ok(*id),
+            _ => Err(ERR_NOCAP),
+        }
+    }
+}
+
 /// An IBP depot: byte-array storage with capability naming and
 /// volatile/stable reliability classes.
 pub struct IbpDepot {
@@ -106,7 +115,7 @@ impl IbpDepot {
         // allocations are untouchable — that is IBP's guarantee.
         loop {
             let reserved: u64 = st.allocs.values().map(|a| a.size).sum();
-            if reserved + size <= self.capacity {
+            if reserved.saturating_add(size) <= self.capacity {
                 break;
             }
             let victim = st
@@ -154,27 +163,46 @@ impl IbpDepot {
     }
 
     fn resolve(&self, cap: &Capability, want: CapKind) -> Result<u64, i32> {
-        let st = self.state.lock();
-        match st.caps.get(&cap.0) {
-            Some((id, kind)) if *kind == want => Ok(*id),
-            _ => Err(ERR_NOCAP),
-        }
+        self.state.lock().resolve(cap, want)
     }
 
     /// Appends bytes via the write capability; returns the stored total.
     pub fn store(&self, wcap: &Capability, data: &[u8]) -> Result<u64, i32> {
-        let id = self.resolve(wcap, CapKind::Write)?;
+        let id = self.admit_store(wcap, data.len() as u64)?;
+        self.append(id, data)
+    }
+
+    /// Checks, before any payload is read, that `wcap` names a live
+    /// allocation with room for `nbytes` more; returns its id.
+    fn admit_store(&self, wcap: &Capability, nbytes: u64) -> Result<u64, i32> {
+        let now = self.now();
+        let st = self.state.lock();
+        let id = st.resolve(wcap, CapKind::Write)?;
+        let alloc = st.allocs.get(&id).ok_or(ERR_NOCAP)?;
+        Self::check_room(alloc, nbytes, now)?;
+        Ok(id)
+    }
+
+    /// Appends to an admitted allocation, checking again: it may have
+    /// expired, been dropped or filled up while the payload was read.
+    fn append(&self, id: u64, data: &[u8]) -> Result<u64, i32> {
         let now = self.now();
         let mut st = self.state.lock();
         let alloc = st.allocs.get_mut(&id).ok_or(ERR_NOCAP)?;
+        Self::check_room(alloc, data.len() as u64, now)?;
+        alloc.data.extend_from_slice(data);
+        Ok(alloc.data.len() as u64)
+    }
+
+    fn check_room(alloc: &Allocation, nbytes: u64, now: u64) -> Result<(), i32> {
         if alloc.expires <= now {
             return Err(ERR_EXPIRED);
         }
-        if alloc.data.len() as u64 + data.len() as u64 > alloc.size {
+        // `data.len() <= size` always holds, so this cannot underflow.
+        if nbytes > alloc.size - alloc.data.len() as u64 {
             return Err(ERR_FULL);
         }
-        alloc.data.extend_from_slice(data);
-        Ok(alloc.data.len() as u64)
+        Ok(())
     }
 
     /// Reads a range via the read capability.
@@ -187,7 +215,7 @@ impl IbpDepot {
             return Err(ERR_EXPIRED);
         }
         let start = (offset as usize).min(alloc.data.len());
-        let end = (start + len as usize).min(alloc.data.len());
+        let end = start.saturating_add(len as usize).min(alloc.data.len());
         Ok(alloc.data[start..end].to_vec())
     }
 
@@ -272,10 +300,19 @@ pub fn handle_conn(
                 Err(code) => write_line(&mut stream, &format!("{} allocate failed", code))?,
             },
             Some(IbpCommand::Store { wcap, nbytes }) => {
-                // The payload always follows the request line; read it
-                // before judging the capability so the stream stays framed.
+                // Judge the capability and the room left before reading the
+                // payload, so no buffer is sized from an unchecked length.
+                // A refused payload is never read, so the stream is no
+                // longer framed: reply and close.
+                let id = match depot.admit_store(&wcap, nbytes) {
+                    Ok(id) => id,
+                    Err(code) => {
+                        write_line(&mut stream, &format!("{} store failed", code))?;
+                        return Ok(());
+                    }
+                };
                 let data = read_exact_vec(&mut stream, nbytes)?;
-                match depot.store(&wcap, &data) {
+                match depot.append(id, &data) {
                     Ok(total) => write_line(&mut stream, &format!("{} {}", CODE_OK, total))?,
                     Err(code) => write_line(&mut stream, &format!("{} store failed", code))?,
                 }

@@ -89,7 +89,7 @@ impl NfsHandler {
             if let Some(size) = args.size {
                 // Truncation is a write-class operation: the storage
                 // manager checks the Write right and keeps the lot
-                // accounting (and its journal) and the tier in step.
+                // accounting (and its journal) in step.
                 self.dispatcher
                     .storage()
                     .truncate(&self.who(), PROTOCOL, &path, u64::from(size))

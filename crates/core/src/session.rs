@@ -807,7 +807,12 @@ mod tests {
         let mut buf = [0u8; 1];
         c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         assert_eq!(c.read(&mut buf).unwrap(), 0, "expected server-side close");
-        assert!(obs.snapshot().count("session.idle_reaped") >= 1);
+        // The close reaches the client before the worker counts the reap.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while obs.snapshot().count("session.idle_reaped") < 1 {
+            assert!(Instant::now() < deadline, "idle reap never counted");
+            std::thread::sleep(Duration::from_millis(2));
+        }
         layer.drain(Duration::from_secs(2));
     }
 

@@ -779,9 +779,9 @@ mod tests {
             rules_of(&scan_source("crates/bench/src/bin/x.rs", src, DESIGN)),
             vec!["tier-bypass", "tier-bypass"]
         );
-        // The storage crate IS the manager/tier/handle-cache; exempt.
+        // The storage crate IS the manager and handle cache; exempt.
         assert!(scan_source("crates/storage/src/manager.rs", src, DESIGN).is_empty());
-        // JBOS is the deliberately tier-less baseline; exempt by design.
+        // JBOS is the deliberately manager-less baseline; exempt by design.
         assert!(scan_source("crates/jbos/src/httpd.rs", src, DESIGN).is_empty());
         // Raw backend construction outside the dispatcher is the same
         // bypass smell; the dispatcher is the sanctioned assembly site.

@@ -5,7 +5,7 @@
 //!
 //! A *scenario* is a closure that spawns a handful of threads through
 //! [`thread::spawn`] and exercises production types (stride scheduler,
-//! `BufPool`, `HandleCache`, `MemTier`, admission counters) exactly as the
+//! `BufPool`, `HandleCache`, admission counters) exactly as the
 //! appliance does. Under the `model` cargo feature every shim sync
 //! operation — `Mutex::lock`, `RwLock::read`/`write`, `Condvar` waits and
 //! notifies — plus [`atomic`] wrapper operations and explicit

@@ -7,7 +7,6 @@
 //! | stride scheduler    | `transfer.sched` (scheduler behind one mutex)  |
 //! | buffer pool         | `transfer.bufpool.free`                        |
 //! | handle cache        | `storage.handlecache.state` epoch guard        |
-//! | memory tier         | `storage.memtier` promote vs. invalidate       |
 //! | session admission   | lock-free `active` counter protocol            |
 //! | lot table           | `storage.lot` charge vs. release vs. reclaim   |
 //! | growing writes      | `storage.lot` charge-to-end in `write_chunk`   |
@@ -159,53 +158,6 @@ fn handle_cache_epoch_guard_never_caches_stale() {
     assert!(report.complete, "exploration hit a budget: {report:?}");
     assert!(report.failure.is_none());
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// The mem-tier promotion ticket: a *promoter* runs `record_access` →
-/// read the backend → `insert` with no tier lock held across the read,
-/// while a *writer* replaces the backend bytes and then invalidates the
-/// path — the order every `StorageManager` mutation path uses. Under
-/// every interleaving, a resident copy, if any, equals the backend: a
-/// promotion that read the old bytes has lost its ticket by the time it
-/// inserts.
-#[test]
-fn mem_tier_promote_vs_invalidate_never_caches_stale_bytes() {
-    use nest_storage::{MemTier, VPath};
-
-    let report = check(&Config::exhaustive(), || {
-        let tier = Arc::new(MemTier::new(1 << 20));
-        let path = VPath::parse("/model/obj").expect("valid vpath");
-        let backend = Arc::new(Mutex::named("model.backend", 901, vec![1u8; 64]));
-
-        let promoter = {
-            let (tier, path, backend) = (Arc::clone(&tier), path.clone(), Arc::clone(&backend));
-            thread::spawn(move || {
-                if let Some(ticket) = tier.record_access(&path, 64, true, 0) {
-                    let data = backend.lock().clone();
-                    tier.insert(&path, data, false, ticket);
-                }
-            })
-        };
-        let writer = {
-            let (tier, path, backend) = (Arc::clone(&tier), path.clone(), Arc::clone(&backend));
-            thread::spawn(move || {
-                *backend.lock() = vec![2u8; 64];
-                tier.invalidate(&path);
-            })
-        };
-        promoter.join();
-        writer.join();
-
-        if let Some(resident) = tier.object(&path) {
-            assert_eq!(
-                *resident,
-                *backend.lock(),
-                "the tier caches bytes the backend no longer holds"
-            );
-        }
-    });
-    assert!(report.complete, "exploration hit a budget: {report:?}");
-    assert!(report.failure.is_none());
 }
 
 /// The session admission counter protocol (`core::session`): admitters

@@ -42,11 +42,16 @@ use nest_proto::s3::{
     render_list_bucket_result, S3Listing, S3Object, SLOWDOWN_REPLY,
 };
 use nest_storage::Principal;
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 
 const PROTOCOL: &str = "s3";
+
+/// The largest CreateBucket body that is read and discarded. A
+/// `CreateBucketConfiguration` document is about a hundred bytes; a
+/// larger body is refused with 400 and the connection closed.
+const MAX_BUCKET_BODY: u64 = 4096;
 
 /// The S3 front: a pure plugin over the dispatcher's public API.
 pub struct S3Front {
@@ -179,6 +184,20 @@ fn serve_request(
         (HttpMethod::Get, "", _) => list_buckets(dispatcher, stream, who),
         // -- bucket level -------------------------------------------------
         (HttpMethod::Put, bucket, "") => {
+            // The bucket's configuration (region) means nothing here, but
+            // its bytes must leave the stream before the next request.
+            let length = head.content_length().unwrap_or(0);
+            if length > MAX_BUCKET_BODY {
+                send_error(stream, NestError::BadRequest, &head.path, true)?;
+                return stream.shutdown(Shutdown::Both);
+            }
+            if length > 0 && head.expects_continue() {
+                stream.write_all(CONTINUE)?;
+            }
+            let drained = io::copy(&mut Read::take(&mut *stream, length), &mut io::sink())?;
+            if drained < length {
+                return Err(io::ErrorKind::UnexpectedEof.into());
+            }
             let resp = dispatcher.execute_sync(
                 who,
                 PROTOCOL,

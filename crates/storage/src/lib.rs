@@ -23,9 +23,6 @@
 //!   charging every write against the writer's lots at user level.
 //! * [`lot_journal`] — lot state that survives a crash: a snapshot file
 //!   plus an append-only, checksummed journal of every lot mutation.
-//! * [`mem_tier`] — the actuating memory tier: a bounded, lot-aware RAM
-//!   cache under the manager, promoting hot objects so they serve at
-//!   memory speed regardless of OS page-cache churn.
 //! * [`manager`] — the [`manager::StorageManager`] façade the dispatcher
 //!   calls: synchronous, serialized execution of all non-transfer requests.
 //!
@@ -38,7 +35,6 @@ pub mod handle_cache;
 pub mod lot;
 pub mod lot_journal;
 pub mod manager;
-pub mod mem_tier;
 pub mod namespace;
 
 pub use acl::{AccessRight, AclEntry, AclTable, Principal};
@@ -47,5 +43,4 @@ pub use handle_cache::{HandleCache, HandleCacheStats};
 pub use lot::{Lot, LotError, LotId, LotKey, LotManager, ReclaimPolicy};
 pub use lot_journal::{atomic_replace, LotJournal};
 pub use manager::{ObjectEntry, ObjectListing, StorageError, StorageManager};
-pub use mem_tier::{MemTier, MemTierStats};
 pub use namespace::{PathError, VPath};

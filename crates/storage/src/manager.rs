@@ -7,14 +7,13 @@
 //!
 //! Every operation here is synchronous and thread-safe; the dispatcher
 //! serializes macro-requests, and data transfers are only *admitted* here
-//! (`begin_put`/`begin_get`/`begin_read`) before being handed to the
+//! (`begin_put`/`begin_get`/`begin_write`) before being handed to the
 //! transfer manager.
 
 use crate::acl::{request_ad, AccessRight, AclEntry, AclTable, Principal};
 use crate::backend::{FileKind, FileStat, StorageBackend};
 use crate::lot::{Evicted, Lot, LotError, LotId, LotKey, LotManager, LotOwner, ReclaimPolicy};
 use crate::lot_journal::LotJournal;
-use crate::mem_tier::{MemTier, MemTierStats, PromotionTicket};
 use crate::namespace::{PathError, VPath};
 use nest_classad::{ClassAd, Value};
 use nest_obs::{Counter, Gauge, Histogram, Obs};
@@ -24,12 +23,6 @@ use std::io;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
-
-/// Predicts whether an object is already memory-resident (the transfer
-/// layer's gray-box cache model, injected by the dispatcher so the
-/// storage crate needs no dependency on it). Arguments: virtual path
-/// (display form) and object size.
-pub type ResidencyHint = Arc<dyn Fn(&str, u64) -> bool + Send + Sync>;
 
 /// Errors surfaced to protocol handlers.
 #[derive(Debug)]
@@ -212,10 +205,6 @@ pub struct StorageManager {
     reclaim_policy: ReclaimPolicy,
     /// Instrument handles; `None` runs fully uninstrumented.
     metrics: Option<StorageMetrics>,
-    /// The actuating memory tier (budget 0 — the default — disables it).
-    tier: MemTier,
-    /// Cache-model residency prediction for promotion decisions.
-    residency_hint: Option<ResidencyHint>,
     /// Where every lot mutation is journaled (disk-backed appliances).
     journal: Option<LotJournal>,
 }
@@ -237,35 +226,26 @@ impl StorageManager {
             enforce_lots: true,
             reclaim_policy: policy,
             metrics: None,
-            tier: MemTier::new(0),
-            residency_hint: None,
             journal: None,
         }
     }
 
     /// Registers this manager's instruments on an observability domain.
     /// The handles are resolved once; steady-state updates are plain
-    /// atomics. Call after [`Self::with_ram_tier`] so the `memtier.*`
-    /// instruments register too.
+    /// atomics.
     pub fn with_obs(mut self, obs: &Obs) -> Self {
         self.metrics = Some(StorageMetrics::new(obs));
-        self.tier.register_obs(obs);
         self.refresh_gauges();
         self
     }
 
-    /// Bounds the in-memory storage tier to `bytes` (0 — the default —
-    /// disables it entirely; that is the byte-identical ablation
-    /// baseline).
-    pub fn with_ram_tier(mut self, bytes: u64) -> Self {
-        self.tier = MemTier::new(bytes);
+    /// Ignored; delete in the benchmark-only PR for ROADMAP 1(b0).
+    pub fn with_ram_tier(self, _bytes: u64) -> Self {
         self
     }
 
-    /// Injects the cache-model residency prediction used to fast-track
-    /// promotion of objects the gray-box model already believes hot.
-    pub fn with_residency_hint(mut self, hint: ResidencyHint) -> Self {
-        self.residency_hint = Some(hint);
+    /// Ignored; delete in the benchmark-only PR for ROADMAP 1(b0).
+    pub fn with_residency_hint<F: ?Sized>(self, _hint: Arc<F>) -> Self {
         self
     }
 
@@ -368,58 +348,16 @@ impl StorageManager {
         &self.backend
     }
 
-    /// The memory tier (for stats publication and tests).
-    pub fn mem_tier(&self) -> &MemTier {
-        &self.tier
-    }
-
-    /// Memory-tier counters.
-    pub fn tier_stats(&self) -> MemTierStats {
-        self.tier.stats()
-    }
-
-    /// The whole object when fully resident in the memory tier — the
-    /// dispatcher wraps it in a `MemSource` so the flow serves straight
-    /// from RAM.
-    pub fn tier_object(&self, path: &VPath) -> Option<Arc<Vec<u8>>> {
-        self.tier.object(path)
+    /// Ignored (always `None`); delete in the benchmark-only PR for
+    /// ROADMAP 1(b0).
+    pub fn tier_object(&self, _path: &VPath) -> Option<Arc<Vec<u8>>> {
+        None
     }
 
     /// Records descriptor-reuse hits for zero-copy lease spans; see
     /// [`StorageBackend::note_lease_hits`].
     pub fn note_lease_hits(&self, n: u64) {
         self.backend.note_lease_hits(n);
-    }
-
-    /// Promotes the `size`-byte object at `path` into the memory tier
-    /// under `ticket`. Best-effort — a read failure, or an object that is
-    /// no longer exactly `size` bytes, simply leaves it untiered. The
-    /// tier issues tickets only up to its per-object cap (at most
-    /// [`crate::mem_tier::MAX_OBJECT_BYTES`]), so the copy made here is at
-    /// most one transfer chunk.
-    fn promote(&self, path: &VPath, size: u64, ticket: PromotionTicket) {
-        // One byte of headroom proves EOF: an object that grew after its
-        // stat must not be cached truncated.
-        let mut data = vec![0u8; size as usize + 1];
-        let mut filled = 0;
-        while filled < data.len() {
-            match self
-                .backend
-                .read_at(path, filled as u64, &mut data[filled..])
-            {
-                Ok(0) => break,
-                Ok(n) => filled += n,
-                Err(_) => return,
-            }
-        }
-        if filled as u64 != size {
-            return;
-        }
-        data.truncate(filled);
-        // Residents backed by an unexpired lot are protected from
-        // best-effort demotion.
-        let guaranteed = self.enforce_lots && self.lots.file_charge(path, self.now()).1;
-        self.tier.insert(path, data, guaranteed, ticket);
     }
 
     fn now(&self) -> u64 {
@@ -477,10 +415,8 @@ impl StorageManager {
     fn apply_evictions(&self, lot: LotId, evicted: &Evicted) -> io::Result<()> {
         for path in &evicted.files {
             // Best-effort deletion of reclaimed files; a missing file only
-            // means the client deleted it first. Any tier copy dies with
-            // the file.
+            // means the client deleted it first.
             let _ = self.backend.remove(path);
-            self.tier.invalidate(path);
         }
         if let Some(m) = &self.metrics {
             if !evicted.files.is_empty() {
@@ -639,7 +575,6 @@ impl StorageManager {
         let r = (|| {
             self.authorize(who, AccessRight::Delete, path, protocol, "remove")?;
             self.backend.remove(path)?;
-            self.tier.invalidate(path);
             if self.enforce_lots {
                 self.lots.release_file(path);
                 self.journal(&[LotKey::Path(path)])?;
@@ -668,8 +603,6 @@ impl StorageManager {
         self.authorize(who, AccessRight::Delete, from, protocol, "rename")?;
         self.authorize(who, AccessRight::Insert, to, protocol, "rename")?;
         self.backend.rename(from, to)?;
-        self.tier.invalidate(from);
-        self.tier.invalidate(to);
         if self.enforce_lots {
             // Re-key the lot charge: release and re-charge under the new
             // name is unsafe (could fail); instead the lot manager keys by
@@ -750,8 +683,6 @@ impl StorageManager {
             }
             return Err(e.into());
         }
-        // The name now means new bytes: any resident tier copy is dead.
-        self.tier.invalidate(path);
         Ok(charged)
     }
 
@@ -762,9 +693,7 @@ impl StorageManager {
     /// the backend (e.g. the file was never created) are swallowed because
     /// abort runs on an already-failed path.
     pub fn abort_put(&self, path: &VPath) {
-        // A failed PUT releases *both* its lot charge and any tier bytes.
         let _ = self.backend.remove(path);
-        self.tier.invalidate(path);
         if self.enforce_lots {
             self.lots.release_file(path);
             let _ = self.journal(&[LotKey::Path(path)]);
@@ -773,21 +702,16 @@ impl StorageManager {
     }
 
     /// Truncates an admitted PUT's partial bytes for a retry from offset
-    /// zero. This is the transfer layer's `reset` path; routing it here
-    /// (not straight at the backend) keeps the memory tier coherent.
+    /// zero (the transfer layer's `reset` path).
     pub fn truncate_for_retry(&self, path: &VPath) -> Result<()> {
-        let r = self.backend.truncate(path, 0);
-        self.tier.invalidate(path);
-        Ok(r?)
+        Ok(self.backend.truncate(path, 0)?)
     }
 
-    /// Sets a file's size (NFS SETATTR): checks the Write right,
-    /// truncates, then drops any tier copy. Truncating to zero releases
-    /// the file's lot charge.
+    /// Sets a file's size (NFS SETATTR): checks the Write right, then
+    /// truncates. Truncating to zero releases the file's lot charge.
     pub fn truncate(&self, who: &Principal, protocol: &str, path: &VPath, size: u64) -> Result<()> {
         self.authorize(who, AccessRight::Write, path, protocol, "truncate")?;
         self.backend.truncate(path, size)?;
-        self.tier.invalidate(path);
         if size == 0 && self.enforce_lots {
             self.lots.release_file(path);
             self.journal(&[LotKey::Path(path)])?;
@@ -801,12 +725,10 @@ impl StorageManager {
         self.authorize(who, AccessRight::Write, path, protocol, "write")
     }
 
-    /// Admits a read of part of a file (an NFS block read): checks the
-    /// Read right and returns the file size. Touches the backing lots for
-    /// LRU accounting. The memory tier is neither consulted nor counted:
-    /// a block read is served by the backend and must not copy a whole
-    /// object into RAM.
-    pub fn begin_read(&self, who: &Principal, protocol: &str, path: &VPath) -> Result<u64> {
+    /// Admits an outgoing transfer of a whole object or of part of it (an
+    /// NFS block read): checks the Read right and returns the file size.
+    /// Touches the backing lots for LRU accounting.
+    pub fn begin_get(&self, who: &Principal, protocol: &str, path: &VPath) -> Result<u64> {
         self.authorize(who, AccessRight::Read, path, protocol, "get")?;
         let st = self.backend.stat(path)?;
         if st.kind != FileKind::File {
@@ -819,24 +741,6 @@ impl StorageManager {
             self.lots.touch_file(path, self.now());
         }
         Ok(st.size)
-    }
-
-    /// Admits an outgoing whole-object transfer: [`Self::begin_read`],
-    /// then records the access with the memory tier and promotes the
-    /// object when the tier decides to.
-    pub fn begin_get(&self, who: &Principal, protocol: &str, path: &VPath) -> Result<u64> {
-        let size = self.begin_read(who, protocol, path)?;
-        if self.tier.enabled() {
-            let hint = self
-                .residency_hint
-                .as_ref()
-                .map(|f| f(&path.to_string(), size))
-                .unwrap_or(false);
-            if let Some(ticket) = self.tier.record_access(path, size, hint, self.now()) {
-                self.promote(path, size, ticket);
-            }
-        }
-        Ok(size)
     }
 
     /// Writes a chunk during an admitted transfer, charging lots for growth
@@ -865,9 +769,6 @@ impl StorageManager {
         }
         let t = Instant::now();
         let r = self.backend.write_at(path, offset, data);
-        // Any resident copy is now stale. Invalidating after the write,
-        // never before, is what voids a racing promotion's ticket.
-        self.tier.invalidate(path);
         if let Some(m) = &self.metrics {
             m.write_us.record(t.elapsed());
         }
@@ -886,7 +787,7 @@ impl StorageManager {
 
     /// Grants a raw-descriptor read lease for an *already admitted* GET
     /// (same trust boundary as [`Self::read_chunk`]: authorization
-    /// happened in [`Self::begin_get`] or [`Self::begin_read`]). `None`
+    /// happened in [`Self::begin_get`]). `None`
     /// when the backend has no descriptors to lend — the caller falls back
     /// to `read_chunk`.
     pub fn read_lease(&self, path: &VPath) -> Option<crate::backend::ReadLease> {
@@ -1051,7 +952,6 @@ mod tests {
     use super::*;
     use crate::acl::Who;
     use crate::backend::MemBackend;
-    use parking_lot::Mutex;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn vp(s: &str) -> VPath {
@@ -1391,244 +1291,15 @@ mod tests {
     }
 
     #[test]
-    fn tier_promotes_on_second_get_and_serves_reads() {
-        let sm = open_manager(1 << 20).with_ram_tier(1 << 20);
+    fn abort_put_releases_lot_charge() {
+        let sm = open_manager(1000);
         let who = alice();
-        sm.lot_create(&who, 1 << 16, 3600).unwrap();
-        sm.begin_put(&who, "chirp", &vp("/hot"), 1000).unwrap();
-        sm.write_chunk(&who, &vp("/hot"), 0, &[7; 1000]).unwrap();
-        // First GET: miss, not yet promoted.
-        sm.begin_get(&who, "chirp", &vp("/hot")).unwrap();
-        assert!(sm.tier_object(&vp("/hot")).is_none());
-        // Second GET inside the window: promoted.
-        sm.begin_get(&who, "chirp", &vp("/hot")).unwrap();
-        let obj = sm.tier_object(&vp("/hot")).expect("promoted");
-        assert_eq!(obj.len(), 1000);
-        // Third GET is a hit. Chunk reads serve the backend, never the
-        // tier: bytes written behind the manager's back show through.
-        sm.begin_get(&who, "chirp", &vp("/hot")).unwrap();
-        sm.backend().write_at(&vp("/hot"), 100, &[8; 64]).unwrap();
-        let mut buf = [0u8; 64];
-        assert_eq!(sm.read_chunk(&vp("/hot"), 100, &mut buf).unwrap(), 64);
-        assert_eq!(buf, [8u8; 64]);
-        let s = sm.tier_stats();
-        assert_eq!(s.hits, 1);
-        assert_eq!(s.misses, 2);
-        assert_eq!(s.promotions, 1);
-        assert_eq!(s.bytes, 1000);
-    }
-
-    #[test]
-    fn tier_residency_hint_promotes_on_first_get() {
-        let sm = open_manager(1 << 20)
-            .with_ram_tier(1 << 20)
-            .with_residency_hint(Arc::new(|_, _| true));
-        let who = alice();
-        sm.lot_create(&who, 1 << 16, 3600).unwrap();
-        sm.begin_put(&who, "chirp", &vp("/hot"), 100).unwrap();
-        sm.write_chunk(&who, &vp("/hot"), 0, &[1; 100]).unwrap();
-        sm.begin_get(&who, "chirp", &vp("/hot")).unwrap();
-        assert!(sm.tier_object(&vp("/hot")).is_some());
-    }
-
-    #[test]
-    fn tier_invalidated_on_overwrite_and_remove() {
-        let sm = open_manager(1 << 20)
-            .with_ram_tier(1 << 20)
-            .with_residency_hint(Arc::new(|_, _| true));
-        let who = alice();
-        sm.lot_create(&who, 1 << 16, 3600).unwrap();
-        sm.begin_put(&who, "chirp", &vp("/f"), 100).unwrap();
-        sm.write_chunk(&who, &vp("/f"), 0, &[1; 100]).unwrap();
-        sm.begin_get(&who, "chirp", &vp("/f")).unwrap();
-        assert!(sm.tier_object(&vp("/f")).is_some());
-        // Overwrite PUT drops the resident copy.
-        sm.begin_put(&who, "chirp", &vp("/f"), 50).unwrap();
-        assert!(sm.tier_object(&vp("/f")).is_none());
-        sm.write_chunk(&who, &vp("/f"), 0, &[2; 50]).unwrap();
-        sm.begin_get(&who, "chirp", &vp("/f")).unwrap();
-        let obj = sm.tier_object(&vp("/f")).expect("re-promoted");
-        assert_eq!(obj.as_slice(), &[2; 50]);
-        // Remove drops it too.
-        sm.remove(&who, "chirp", &vp("/f")).unwrap();
-        assert!(sm.tier_object(&vp("/f")).is_none());
-        assert_eq!(sm.tier_stats().bytes, 0);
-    }
-
-    /// A manager whose 1 MiB tier promotes on the first GET, with a lot
-    /// for alice.
-    fn hinted_tier_manager(backend: Arc<dyn StorageBackend>) -> (StorageManager, LotId) {
-        let sm = StorageManager::new(
-            backend,
-            AclTable::open_by_default(),
-            1 << 20,
-            ReclaimPolicy::ExpiredFirst,
-        )
-        .with_ram_tier(1 << 20)
-        .with_residency_hint(Arc::new(|_, _| true));
-        let lot = sm.lot_create(&alice(), 1 << 16, 3600).unwrap();
-        (sm, lot)
-    }
-
-    fn put(sm: &StorageManager, path: &str, data: &[u8]) {
-        sm.begin_put(&alice(), "chirp", &vp(path), data.len() as u64)
-            .unwrap();
-        sm.write_chunk(&alice(), &vp(path), 0, data).unwrap();
-    }
-
-    #[test]
-    fn abort_put_releases_tier_bytes() {
-        let (sm, lot) = hinted_tier_manager(Arc::new(MemBackend::new()));
-        put(&sm, "/doomed", &[9; 500]);
-        sm.begin_get(&alice(), "chirp", &vp("/doomed")).unwrap();
-        assert_eq!(sm.tier_stats().bytes, 500);
+        let lot = sm.lot_create(&who, 600, 3600).unwrap();
+        sm.begin_put(&who, "chirp", &vp("/doomed"), 500).unwrap();
+        sm.write_chunk(&who, &vp("/doomed"), 0, &[9; 500]).unwrap();
         sm.abort_put(&vp("/doomed"));
-        assert_eq!(sm.tier_stats().bytes, 0);
-        assert_eq!(sm.lot_stat(&alice(), lot).unwrap().used, 0);
-    }
-
-    #[test]
-    fn rename_drops_resident_copies_and_moves_lot_charge() {
-        let (sm, lot) = hinted_tier_manager(Arc::new(MemBackend::new()));
-        put(&sm, "/a", &[5; 100]);
-        sm.begin_get(&alice(), "chirp", &vp("/a")).unwrap();
-        // The destination cannot exist on the backend, so plant a copy
-        // under it directly in the tier.
-        let tier = sm.mem_tier();
-        let ticket = tier.record_access(&vp("/b"), 50, true, 0).unwrap();
-        tier.insert(&vp("/b"), vec![6; 50], false, ticket);
-        for p in ["/a", "/b"] {
-            assert!(sm.tier_object(&vp(p)).is_some());
-        }
-        sm.rename(&alice(), "chirp", &vp("/a"), &vp("/b")).unwrap();
-        assert!(sm.tier_object(&vp("/a")).is_none());
-        assert!(sm.tier_object(&vp("/b")).is_none());
-        assert_eq!(sm.tier_stats().bytes, 0);
-        // The next GET of the new name promotes the moved bytes.
-        sm.begin_get(&alice(), "chirp", &vp("/b")).unwrap();
-        assert_eq!(sm.tier_object(&vp("/b")).unwrap().as_slice(), &[5; 100]);
-        // The charge followed the name: removing it frees the lot.
-        sm.remove(&alice(), "chirp", &vp("/b")).unwrap();
-        assert_eq!(sm.lot_stat(&alice(), lot).unwrap().used, 0);
-    }
-
-    type Hook = Box<dyn FnOnce() + Send>;
-
-    /// A memory backend that runs a one-shot callback right after the
-    /// first `stat` or `read_at` (whichever the hook names) returns — a
-    /// writer landing at exactly that point of a promotion.
-    struct HookBackend {
-        inner: MemBackend,
-        hook: Mutex<Option<(&'static str, Hook)>>,
-    }
-
-    impl HookBackend {
-        fn fire(&self, op: &str) {
-            let hook = {
-                let mut slot = self.hook.lock();
-                match slot.take() {
-                    Some((want, f)) if want == op => Some(f),
-                    other => {
-                        *slot = other;
-                        None
-                    }
-                }
-            };
-            if let Some(f) = hook {
-                f();
-            }
-        }
-    }
-
-    impl StorageBackend for HookBackend {
-        fn create(&self, p: &VPath) -> io::Result<()> {
-            self.inner.create(p)
-        }
-        fn read_at(&self, p: &VPath, off: u64, buf: &mut [u8]) -> io::Result<usize> {
-            let r = self.inner.read_at(p, off, buf);
-            self.fire("read_at");
-            r
-        }
-        fn write_at(&self, p: &VPath, off: u64, data: &[u8]) -> io::Result<()> {
-            self.inner.write_at(p, off, data)
-        }
-        fn truncate(&self, p: &VPath, size: u64) -> io::Result<()> {
-            self.inner.truncate(p, size)
-        }
-        fn remove(&self, p: &VPath) -> io::Result<()> {
-            self.inner.remove(p)
-        }
-        fn rename(&self, from: &VPath, to: &VPath) -> io::Result<()> {
-            self.inner.rename(from, to)
-        }
-        fn mkdir(&self, p: &VPath) -> io::Result<()> {
-            self.inner.mkdir(p)
-        }
-        fn rmdir(&self, p: &VPath) -> io::Result<()> {
-            self.inner.rmdir(p)
-        }
-        fn list(&self, p: &VPath) -> io::Result<Vec<String>> {
-            self.inner.list(p)
-        }
-        fn stat(&self, p: &VPath) -> io::Result<FileStat> {
-            let r = self.inner.stat(p);
-            self.fire("stat");
-            r
-        }
-        fn used_bytes(&self) -> io::Result<u64> {
-            self.inner.used_bytes()
-        }
-    }
-
-    /// Runs a GET of `/f` (holding `[1; 100]`) with `write` landing just
-    /// after the backend `op` of the GET returns, and returns the manager.
-    fn get_racing_a_write(op: &'static str, write: Vec<u8>) -> Arc<StorageManager> {
-        let backend = Arc::new(HookBackend {
-            inner: MemBackend::new(),
-            hook: Mutex::new(None),
-        });
-        let (sm, _) = hinted_tier_manager(backend.clone());
-        let sm = Arc::new(sm);
-        put(&sm, "/f", &[1; 100]);
-        let writer = Arc::clone(&sm);
-        *backend.hook.lock() = Some((
-            op,
-            Box::new(move || writer.write_chunk(&alice(), &vp("/f"), 0, &write).unwrap()),
-        ));
-        sm.begin_get(&alice(), "chirp", &vp("/f")).unwrap();
-        assert!(backend.hook.lock().is_none(), "the racing write never ran");
-        sm
-    }
-
-    /// The tier may hold `/f` only as a copy of what the backend holds,
-    /// and every read through the manager serves the backend's bytes.
-    fn assert_tier_coherent(sm: &StorageManager) {
-        let size = sm.backend().stat(&vp("/f")).unwrap().size as usize;
-        let mut truth = vec![0u8; size];
-        sm.backend().read_at(&vp("/f"), 0, &mut truth).unwrap();
-        if let Some(resident) = sm.tier_object(&vp("/f")) {
-            assert_eq!(*resident, truth, "tier holds bytes the backend does not");
-        }
-        let mut served = vec![0u8; size];
-        assert_eq!(sm.read_chunk(&vp("/f"), 0, &mut served).unwrap(), size);
-        assert_eq!(served, truth);
-    }
-
-    #[test]
-    fn promotion_racing_an_overwrite_never_caches_the_old_bytes() {
-        // The promotion has read the old bytes when the write lands.
-        let sm = get_racing_a_write("read_at", vec![2; 100]);
-        assert_tier_coherent(&sm);
-        // The next GET promotes the new bytes.
-        sm.begin_get(&alice(), "chirp", &vp("/f")).unwrap();
-        assert_eq!(sm.tier_object(&vp("/f")).unwrap().as_slice(), &[2; 100]);
-    }
-
-    #[test]
-    fn promotion_racing_an_append_never_caches_a_truncated_copy() {
-        // The GET has sized the object when the write extends it.
-        let sm = get_racing_a_write("stat", vec![3; 150]);
-        assert_tier_coherent(&sm);
+        assert!(sm.stat(&who, "chirp", &vp("/doomed")).is_err());
+        assert_eq!(sm.lot_stat(&who, lot).unwrap().used, 0);
     }
 
     #[test]

@@ -15,10 +15,10 @@
 //!
 //! Scores are kept **per scheduling class** and combined by *relative*
 //! standing, not raw bytes/sec. Raw averaging has a starvation failure
-//! mode once the memory tier exists: RAM-resident flows complete at
-//! memcpy speed (GB/s) while disk-bound flows run at device speed (MB/s),
-//! so a model that happens to serve more RAM traffic dominates any global
-//! average even if it is the *worst* choice for the disk-bound class.
+//! mode: page-cache-resident flows complete at memcpy speed (GB/s) while
+//! disk-bound flows run at device speed (MB/s), so a model that happens
+//! to serve more cached traffic dominates any global average even if it
+//! is the *worst* choice for the disk-bound class.
 //! Normalizing each class's score by that class's best-model score before
 //! averaging makes a model's standing mean "how close to the per-class
 //! winner is it, on the classes it has served" — classes with wildly
@@ -105,7 +105,7 @@ impl AdaptiveSelector {
     }
 
     /// Reports an observed completion under its scheduling class, so
-    /// memcpy-fast classes (tier-resident reads) and device-bound classes
+    /// memcpy-fast classes (page-cache hits) and device-bound classes
     /// are scored separately.
     pub fn report_classed(&mut self, model: ModelKind, class: &str, bytes: u64, seconds: f64) {
         if seconds <= 0.0 {
@@ -364,7 +364,7 @@ mod tests {
 
     #[test]
     fn ram_fast_class_does_not_drown_disk_bound_class() {
-        // Events serves tier-resident reads slightly faster; Threads is
+        // Events serves cached reads slightly faster; Threads is
         // 3x better on the disk-bound class. A raw global average would
         // crown Events (the RAM numbers dominate); per-class relative
         // standing must pick Threads (near-winner on RAM, winner on disk).

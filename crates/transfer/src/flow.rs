@@ -433,16 +433,13 @@ impl Flow {
     }
 }
 
-/// A source serving a whole object from shared memory — the read path the
-/// storage manager's RAM tier hands the dispatcher when an object is
-/// tier-resident. The `Arc` is a reference into the tier's resident copy,
-/// so constructing the source copies nothing and eviction cannot
-/// invalidate in-flight reads (the flow keeps the data alive).
+/// A source serving a whole object from shared memory. The `Arc` is
+/// shared with the caller, so constructing the source copies nothing and
+/// the flow keeps the data alive.
 ///
 /// Deliberately has **no** [`DataSource::raw_window`]: there is no backing
 /// fd, so a zerocopy-armed flow probes once, stays in `Probing`, and takes
-/// the pooled loop. That is a clean demotion, not a fallback — the
-/// dispatcher counts it as `memtier.zc_bypassed`.
+/// the pooled loop — a clean demotion, not a fallback.
 pub struct MemSource {
     data: Arc<Vec<u8>>,
     pos: usize,

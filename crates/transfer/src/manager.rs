@@ -854,7 +854,7 @@ impl Engine {
         let ok = completion.result.is_ok();
         if let Some(sel) = &mut self.selector {
             // Attribute the observation to the flow's scheduling class so
-            // memcpy-fast tier-resident classes cannot drown out the
+            // memcpy-fast page-cache-resident classes cannot drown out the
             // device-bound ones in the selector's standing.
             if ok {
                 sel.report_classed(

@@ -13,15 +13,17 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> nest-lint (repo-rule source gate: shim-only locks, named locks, metric catalog, SAFETY comments, atomic orderings)"
 cargo run -q -p nest-lint
 
-echo "==> tier-1: cargo build --release && cargo test -q"
+# --no-fail-fast: a failing test binary must not hide the binaries after
+# it; cargo still exits non-zero if any of them failed.
+echo "==> tier-1: cargo build --release && cargo test -q --no-fail-fast"
 cargo build --release
-cargo test -q
+cargo test -q --no-fail-fast
 
 echo "==> nest-check (invariant macro + lock-order detector unit/regression tests, debug build)"
 cargo test -q -p nest-check -p parking_lot
 
 echo "==> tier-1 under lock-order deadlock detection (NEST_LOCK_ORDER=1)"
-NEST_LOCK_ORDER=1 cargo test -q
+NEST_LOCK_ORDER=1 cargo test -q --no-fail-fast
 
 echo "==> nest-model (deterministic interleaving explorer, --features model; wall-clock budget 60s)"
 model_start=$SECONDS

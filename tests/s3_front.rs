@@ -335,3 +335,64 @@ fn put_answers_expect_continue() {
     }
     server.shutdown();
 }
+
+/// Sends one signed request head on `conn`, then `body`; returns the
+/// reply's status and body.
+fn signed_exchange(
+    conn: &mut TcpStream,
+    ca: &SimCa,
+    method: &str,
+    path: &str,
+    body: &[u8],
+) -> (u16, String) {
+    let head = format!(
+        "{method} {path} HTTP/1.1\r\nHost: nest\r\nAuthorization: {}\r\nContent-Length: {}\r\n\r\n",
+        format_auth_header(&ca.issue(SUBJECT)),
+        body.len()
+    );
+    conn.write_all(head.as_bytes()).unwrap();
+    conn.write_all(body).unwrap();
+    let reply = HttpResponseHead::read(conn).unwrap();
+    let mut text = vec![0u8; reply.content_length().unwrap() as usize];
+    conn.read_exact(&mut text).unwrap();
+    (reply.status, String::from_utf8(text).unwrap())
+}
+
+#[test]
+fn create_bucket_body_is_discarded_and_the_connection_stays_in_sync() {
+    let (server, ca, _lot) = start_server();
+    let mut conn = TcpStream::connect(server.front_addr("s3").unwrap()).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+
+    // What SDKs send outside us-east-1: a 96-byte configuration document.
+    let config = b"<CreateBucketConfiguration><LocationConstraint></LocationConstraint></CreateBucketConfiguration>";
+    assert_eq!(config.len(), 96);
+    assert_eq!(
+        signed_exchange(&mut conn, &ca, "PUT", "/cfg", config).0,
+        200
+    );
+    // The next request on the same connection gets its own answer.
+    let (status, listing) = signed_exchange(&mut conn, &ca, "GET", "/cfg?list-type=2", b"");
+    assert_eq!(status, 200, "{listing}");
+    assert!(listing.contains("<Name>cfg</Name>"), "{listing}");
+
+    // A body over the bound is refused unread, and the connection closes.
+    let mut conn = TcpStream::connect(server.front_addr("s3").unwrap()).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let head = format!(
+        "PUT /big HTTP/1.1\r\nHost: nest\r\nAuthorization: {}\r\nContent-Length: {}\r\n\r\n",
+        format_auth_header(&ca.issue(SUBJECT)),
+        1 << 20
+    );
+    conn.write_all(head.as_bytes()).unwrap();
+    let reply = HttpResponseHead::read(&mut conn).unwrap();
+    assert_eq!(reply.status, 400);
+    let mut rest = vec![0u8; reply.content_length().unwrap() as usize];
+    conn.read_exact(&mut rest).unwrap();
+    assert_eq!(conn.read(&mut [0u8; 1]).unwrap(), 0, "not closed");
+    let mut client = S3Client::connect(server.front_addr("s3").unwrap())
+        .unwrap()
+        .with_credential(ca.issue(SUBJECT));
+    assert!(!client.list_buckets().unwrap().contains(&"big".to_owned()));
+    server.shutdown();
+}

@@ -163,81 +163,15 @@ fn lock_contention_metrics_surface_on_http_and_chirp() {
 }
 
 #[test]
-fn memtier_counters_ride_every_surface() {
-    // With the memory tier enabled, `memtier.*` instruments must appear on
-    // all three monitoring surfaces — HTTP, Chirp, and the embedder's
-    // registry — and the ClassAd must advertise the tier to matchmakers.
+fn ablated_tier_registers_nothing() {
+    // The appliance keeps no RAM tier: every read goes through the page
+    // cache. `ram_tier_bytes` is still accepted and ignored, so even with
+    // it set no tier instrument appears on any surface and the ad
+    // advertises no tier.
     let obs = Obs::new();
-    let config = NestConfig::builder("stats-memtier")
+    let config = NestConfig::builder("stats-no-tier")
         .obs(Arc::clone(&obs))
         .ram_tier_bytes(8 << 20)
-        .build()
-        .unwrap();
-    let server = NestServer::start(config).unwrap();
-    server
-        .grant_default_lot("anonymous", 16 << 20, 3600)
-        .unwrap();
-
-    // One PUT, three GETs: the repeat accesses promote the object and the
-    // last GET is served from RAM (a tier hit). The residency hint may
-    // promote on the first GET already, so assert floors, not exact counts.
-    // The object fits one transfer chunk, the tier's per-object cap.
-    let body: Vec<u8> = (0..60_000u32).map(|i| (i % 251) as u8).collect();
-    let mut http = HttpClient::connect(server.http_addr.unwrap()).unwrap();
-    assert_eq!(http.put_bytes("/tiered.bin", &body).unwrap(), 201);
-    for _ in 0..3 {
-        assert_eq!(http.get_bytes("/tiered.bin").unwrap(), body);
-    }
-
-    let text = String::from_utf8(http.get_bytes("/nest/stats").unwrap()).unwrap();
-    let via_http: BTreeMap<String, f64> = MetricsSnapshot::parse_text(&text);
-    let mut chirp = ChirpClient::connect(server.chirp_addr.unwrap()).unwrap();
-    let lines = chirp.stats().unwrap();
-    let via_chirp: BTreeMap<String, f64> = MetricsSnapshot::parse_text(&lines.join("\n"));
-
-    assert!(via_http["memtier.hits"] >= 1.0, "no tier hit surfaced");
-    assert!(via_http["memtier.misses"] >= 1.0, "no tier miss surfaced");
-    assert_eq!(via_http["memtier.bytes"], 60_000.0);
-    assert!(via_http["memtier.promotions"] >= 1.0);
-    assert!(
-        via_http["memtier.zc_bypassed"] >= 1.0,
-        "RAM serve not counted"
-    );
-    for key in ["memtier.hits", "memtier.misses", "memtier.bytes"] {
-        assert_eq!(via_http[key], via_chirp[key], "{} disagrees", key);
-    }
-
-    // Surface 3: the embedder's registry.
-    let snap = obs.snapshot();
-    assert_eq!(snap.count("memtier.hits") as f64, via_http["memtier.hits"]);
-    assert_eq!(
-        snap.count("memtier.misses") as f64,
-        via_http["memtier.misses"]
-    );
-
-    // And the matchmaking surface: the storage ad advertises the tier.
-    let ad = server.dispatcher().storage_ad(&["http"]);
-    match ad.eval("RamTierBytes") {
-        nest::classad::Value::Int(n) => assert_eq!(n, 60_000),
-        other => panic!("RamTierBytes missing: {:?}", other),
-    }
-    match ad.eval("RamTierHitPct") {
-        nest::classad::Value::Real(p) => assert!((0.0..=100.0).contains(&p), "{}", p),
-        other => panic!("RamTierHitPct missing: {:?}", other),
-    }
-
-    server.shutdown();
-}
-
-#[test]
-fn ablated_tier_registers_nothing() {
-    // `ram_tier_bytes(0)` is the ablation: not a tier with zero budget but
-    // *no tier at all* — no `memtier.*` instrument may appear on any
-    // surface, so the ablated appliance is indistinguishable from the
-    // pre-tier data path (the Fig. 6 control).
-    let obs = Obs::new();
-    let config = NestConfig::builder("stats-ablated")
-        .obs(Arc::clone(&obs))
         .build()
         .unwrap();
     let server = NestServer::start(config).unwrap();
@@ -252,18 +186,17 @@ fn ablated_tier_registers_nothing() {
     }
     let text = String::from_utf8(http.get_bytes("/nest/stats").unwrap()).unwrap();
     let stats: BTreeMap<String, f64> = MetricsSnapshot::parse_text(&text);
-    assert!(
-        !stats.keys().any(|k| k.starts_with("memtier.")),
-        "ablated appliance leaked tier instruments: {:?}",
-        stats
-            .keys()
-            .filter(|k| k.starts_with("memtier."))
-            .collect::<Vec<_>>()
-    );
+    let tier_keys: Vec<_> = stats.keys().filter(|k| k.contains("memtier")).collect();
+    assert!(tier_keys.is_empty(), "tier instruments: {tier_keys:?}");
     let ad = server.dispatcher().storage_ad(&["http"]);
+    let tier_attrs: Vec<_> = ad
+        .iter()
+        .map(|(name, _)| name)
+        .filter(|name| name.to_ascii_lowercase().contains("tier"))
+        .collect();
     assert!(
-        matches!(ad.eval("RamTierBytes"), nest::classad::Value::Undefined),
-        "ablated ad advertises a tier"
+        tier_attrs.is_empty(),
+        "ad advertises a tier: {tier_attrs:?}"
     );
     server.shutdown();
 }
